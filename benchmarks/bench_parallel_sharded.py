@@ -1,20 +1,22 @@
-"""PARALLEL — the sharded execution layer vs the sequential engine.
+"""PARALLEL — the sharded execution layer vs one-shard execution.
 
-The acceptance claims of the parallel/sharding PR:
+One Yannakakis evaluator serves every plan; the planner only chooses its
+shard count.  The claims measured here:
 
-* on large acyclic workloads, the parallel engine (hash-sharded,
-  bucket-centric semijoin passes; head-aware rooting; worker fan-out when
-  cores exist) beats the sequential PR 2 engine by ≥2× on evaluation and
-  stays ahead on decision;
-* a ≥32-member same-shape batch through ``execute_batch`` runs ≥2× faster
-  than sequential per-member execution (N-wide lifting through a parameter
-  relation);
-* on small inputs the planner keeps sharding off, so single-query latency
-  matches the sequential engine (no sharding tax).
+* on large acyclic workloads, the planner-sharded engine (hash-sharded,
+  bucket-centric semijoin passes; worker fan-out when cores exist) answers
+  exactly as the same engine held to one shard.  Its timings are reported,
+  not asserted: whether sharding pays depends on the cores and pool mode
+  (the ``--assert-multicore`` comparison below is that measurement);
+* a ≥32-member same-shape batch through ``run_batch`` runs ≥2× faster
+  than per-member execution on a ``parallel=False`` engine (N-wide lifting
+  through a parameter relation);
+* on small inputs the planner keeps sharding off, and the worker pool
+  costs single-query latency nothing.
 
-Both sides run through ``QueryEngine`` — the sequential baseline is
-``QueryEngine(parallel=False)``, which is exactly the PR 2 execution path.
-Result equality between the two engines is asserted for every workload.
+Every side runs through ``QueryEngine``; the one-shard side is an engine
+whose planner's shard threshold no input reaches.  Result equality is
+asserted for every workload.
 
 Usage::
 
@@ -41,6 +43,7 @@ import sys
 from typing import Any, Dict, List, Optional
 
 from repro import NaiveEvaluator, QueryEngine
+from repro.engine import Planner
 from repro.benchlib import (
     add_json_argument,
     emit_json_report,
@@ -76,35 +79,41 @@ def acyclic_workloads() -> List[Dict[str, Any]]:
     ]
 
 
+def one_shard_engine() -> QueryEngine:
+    """An engine whose planner never shards (no input reaches the threshold)."""
+    return QueryEngine(planner=Planner(shard_threshold_rows=sys.maxsize))
+
+
 def run_acyclic(repeats: int) -> List[Dict[str, Any]]:
-    """Sequential vs parallel engine on each large acyclic workload."""
+    """One-shard vs planner-sharded engine on each large acyclic workload."""
     records: List[Dict[str, Any]] = []
     for item in acyclic_workloads():
         query, database = item["query"], item["database"]
-        sequential = QueryEngine(parallel=False)
-        parallel = QueryEngine()
+        one_shard = one_shard_engine()
+        sharded = QueryEngine()
         # Warm both engines (plan caches, kernel indexes, shard partitions)
         # and pin result equality before timing.
-        assert sequential.execute(query, database) == parallel.execute(
+        assert one_shard.execute(query, database) == sharded.execute(
             query, database
         ), item["name"]
-        assert sequential.decide(query, database) == parallel.decide(
+        assert one_shard.decide(query, database) == sharded.decide(
             query, database
         ), item["name"]
+        assert one_shard.plan_for(query, database).shard_count == 1
 
-        seq_exec, _ = time_thunk(
-            lambda: sequential.execute(query, database), repeats=repeats
+        one_exec, _ = time_thunk(
+            lambda: one_shard.execute(query, database), repeats=repeats
         )
-        par_exec, _ = time_thunk(
-            lambda: parallel.execute(query, database), repeats=repeats
+        sharded_exec, _ = time_thunk(
+            lambda: sharded.execute(query, database), repeats=repeats
         )
-        seq_decide, _ = time_thunk(
-            lambda: sequential.decide(query, database), repeats=repeats
+        one_decide, _ = time_thunk(
+            lambda: one_shard.decide(query, database), repeats=repeats
         )
-        par_decide, _ = time_thunk(
-            lambda: parallel.decide(query, database), repeats=repeats
+        sharded_decide, _ = time_thunk(
+            lambda: sharded.decide(query, database), repeats=repeats
         )
-        plan = parallel.plan_for(query, database)
+        plan = sharded.plan_for(query, database)
         records.append(
             {
                 "name": item["name"],
@@ -112,19 +121,20 @@ def run_acyclic(repeats: int) -> List[Dict[str, Any]]:
                     database[name].cardinality for name in database.names()
                 ),
                 "shard_count": plan.shard_count,
-                "sequential_execute_seconds": seq_exec,
-                "parallel_execute_seconds": par_exec,
-                "execute_speedup": round(speedup(seq_exec, par_exec), 2),
-                "sequential_decide_seconds": seq_decide,
-                "parallel_decide_seconds": par_decide,
-                "decide_speedup": round(speedup(seq_decide, par_decide), 2),
+                "one_shard_execute_seconds": one_exec,
+                "sharded_execute_seconds": sharded_exec,
+                "execute_speedup": round(speedup(one_exec, sharded_exec), 2),
+                "one_shard_decide_seconds": one_decide,
+                "sharded_decide_seconds": sharded_decide,
+                "decide_speedup": round(speedup(one_decide, sharded_decide), 2),
             }
         )
     return records
 
 
 def run_batch(repeats: int, batch_size: int = 48) -> Dict[str, Any]:
-    """N-wide lifted batch vs sequential per-member execution."""
+    """N-wide lifted batch vs per-member execution (``parallel=False``
+    engines never lift)."""
     database = chain_database(layers=5, width=48, p=0.25, seed=7)
     query = path_query(4, head_arity=1)
     starts = sorted({row[0] for row in database["E"].rows})
@@ -210,7 +220,7 @@ def run_pool_modes(
 
 
 def run_small_no_regression(repeats: int) -> Dict[str, Any]:
-    """The PR 2 small workload: sharding must stay off and cost nothing."""
+    """A small workload: sharding stays off and the pool costs nothing."""
     database = chain_database(layers=5, width=16, p=0.25, seed=3)
     query = path_query(4, head_arity=1)
     sequential = QueryEngine(parallel=False)
@@ -273,11 +283,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             "workload",
             "rows",
             "shards",
-            "seq exec s",
-            "par exec s",
+            "1-shard exec s",
+            "sharded exec s",
             "exec ×",
-            "seq decide s",
-            "par decide s",
+            "1-shard decide s",
+            "sharded decide s",
             "decide ×",
         ),
         [
@@ -285,17 +295,17 @@ def main(argv: Optional[List[str]] = None) -> int:
                 r["name"],
                 r["input_rows"],
                 r["shard_count"],
-                r["sequential_execute_seconds"],
-                r["parallel_execute_seconds"],
+                r["one_shard_execute_seconds"],
+                r["sharded_execute_seconds"],
                 r["execute_speedup"],
-                r["sequential_decide_seconds"],
-                r["parallel_decide_seconds"],
+                r["one_shard_decide_seconds"],
+                r["sharded_decide_seconds"],
                 r["decide_speedup"],
             )
             for r in acyclic
         ],
         title=(
-            "Sharded parallel engine vs sequential engine "
+            "Planner-sharded engine vs one-shard engine "
             f"(best of {repeats}, {default_worker_count()} worker(s))"
         ),
     )
@@ -321,7 +331,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 small["parallel_over_sequential"],
             )
         ],
-        title="Small inputs: sharding off, no overhead",
+        title="Small inputs: sharding off, pool vs parallel=False",
     )
 
     if pool_modes is not None:
@@ -353,9 +363,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
 
     if not args.smoke:
-        best_exec = max(r["execute_speedup"] for r in acyclic)
-        assert best_exec >= 2.0, acyclic
-        assert all(r["decide_speedup"] >= 0.8 for r in acyclic), acyclic
         assert batch["batch_speedup"] >= 2.0, batch
         assert small["shard_count"] == 1, small
         assert small["parallel_over_sequential"] <= 1.5, small

@@ -54,8 +54,10 @@ def test_pushdown_versus_root_check(benchmark):
         title="Ablation: inequality selection placement",
     )
 
-    # Join-algorithm ablation on plain acyclic evaluation.
-    query = path_query(4, head_arity=1)
+    # Join-algorithm ablation on plain acyclic evaluation.  The full head
+    # makes every upward edge carry columns, so the join algorithm runs
+    # (a head inside one atom would turn them all into semijoins).
+    query = path_query(4, head_arity=5)
     join_rows = []
     for name, algorithm in (("hash", hash_join), ("sort_merge", sort_merge_join)):
         evaluator = YannakakisEvaluator(join_algorithm=algorithm)

@@ -20,14 +20,12 @@ from .base import (
 from .compiler import CompiledSql, compile_query
 from .dbapi import DbApiBackend
 from .dispatch import BACKEND, NATIVE, PushdownArbiter
-from .duckdb import DuckDbBackend, duckdb_available
 from .sqlite import SqliteBackend
 
 __all__ = [
     "BACKEND",
     "CompiledSql",
     "DbApiBackend",
-    "DuckDbBackend",
     "NATIVE",
     "PushdownArbiter",
     "SqlBackend",
@@ -37,5 +35,4 @@ __all__ = [
     "canonical_rows",
     "canonical_value",
     "compile_query",
-    "duckdb_available",
 ]

@@ -3,7 +3,7 @@
 A :class:`SqlBackend` executes whole :class:`~repro.operations.Operation`\\ s
 against an independent SQL engine — the pushdown side of the engine's
 native-vs-pushdown dispatch, and the oracle side of the differential
-harness.  Adapters (``sqlite3`` in-process, DuckDB optional) implement
+harness.  Adapters (``sqlite3`` in-process) implement
 ``load``/``execute``/``decide``/``count``; this base class supplies the
 generic ``run``/``run_batch`` dispatch every other layer of the repo uses,
 plus compile-based capability probing.

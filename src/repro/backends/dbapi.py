@@ -5,8 +5,8 @@ surface over an abstract ``_connect()``: loading a
 :class:`~repro.relational.database.Database` into code-valued tables,
 compiling against the physical table map, binding constants as pool
 codes, and decoding result codes back to pool representatives.  Concrete
-adapters (:mod:`repro.backends.sqlite`, :mod:`repro.backends.duckdb`)
-supply a connection and the driver's error types — nothing else.
+adapters (:mod:`repro.backends.sqlite`) supply a connection and the
+driver's error types — nothing else.
 
 Loading
 -------

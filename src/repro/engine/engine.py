@@ -13,10 +13,10 @@ and instead say ``engine.execute(query, database)``.  Internally:
 3. the *plan cache* (LRU, keyed on query shape + schema) lets repeated and
    parameterized queries skip both steps — every constant binding of one
    prepared shape reuses the same plan;
-4. the *executor* dispatches to the chosen evaluator.  Sharded acyclic
-   plans run through the parallel Yannakakis executor
-   (``repro.parallel``): co-partitioned hash shards, bucket-centric
-   semijoin kernels, and a worker pool (threads by default, processes
+4. the *executor* dispatches to the chosen evaluator.  Acyclic plans run
+   through the one Yannakakis evaluator at the plan's shard count; sharded
+   plans use co-partitioned hash shards, bucket-centric semijoin kernels
+   (``repro.parallel``), and a worker pool (threads by default, processes
    optionally, inline on one core);
 5. ``run_batch`` groups same-shape operations under one plan and — for
    large constant-variant groups — *lifts* the group into a single N-wide
@@ -43,8 +43,9 @@ engine: plan cache, ledger and plan runtimes are locked, kernel cache
 fills are convergent, and the evaluators themselves are stateless across
 calls.
 
-Constructing with ``parallel=False`` reproduces the sequential PR 2
-behavior exactly: no pool, no sharded dispatch, no batch lifting.
+Constructing with ``parallel=False`` runs without a worker pool and
+without batch lifting.  It runs the same evaluators with the same plans,
+so answers are identical either way.
 """
 
 from __future__ import annotations
@@ -83,7 +84,6 @@ from ..operations import (
     EXPLAIN as OP_EXPLAIN,
 )
 from ..parallel.batch import LiftedBatch, lift_batch_group
-from ..parallel.executor import ParallelYannakakisEvaluator
 from ..parallel.pool import THREADS, WorkerPool
 from ..query.conjunctive import ConjunctiveQuery
 from ..relational.database import Database
@@ -141,8 +141,9 @@ class QueryEngine:
     planner:
         Optional custom planner (tests inject instrumented ones).
     parallel:
-        Enable the sharded execution layer.  ``False`` restores purely
-        sequential execution (no pool, no sharding, no batch lifting).
+        Own a worker pool and lift large same-shape batches.  ``False``
+        runs every task inline and every batch member by member; the
+        evaluators and plans (shard counts included) are the same.
     max_workers:
         Worker budget for the pool (defaults to the CPU count; 1 runs
         every task inline).
@@ -195,28 +196,18 @@ class QueryEngine:
         self._planner_takes_observed = (
             "observed_rows" in inspect.signature(self._planner.plan).parameters
         )
-        self._naive = NaiveEvaluator()
-        self._yannakakis = YannakakisEvaluator()
-        self._treewidth = TreewidthEvaluator()
-        self._inequality = AcyclicInequalityEvaluator()
         self._parallel = parallel
         self._batch_wide_threshold = batch_wide_threshold
-        if parallel:
-            self._pool: Optional[WorkerPool] = WorkerPool(max_workers, pool_mode)
-            self._parallel_yannakakis: Optional[ParallelYannakakisEvaluator] = (
-                ParallelYannakakisEvaluator(pool=self._pool)
-            )
-        else:
-            self._pool = None
-            self._parallel_yannakakis = None
+        self._pool: Optional[WorkerPool] = (
+            WorkerPool(max_workers, pool_mode) if parallel else None
+        )
+        self._naive = NaiveEvaluator()
+        self._yannakakis = YannakakisEvaluator(pool=self._pool)
+        self._treewidth = TreewidthEvaluator()
+        self._inequality = AcyclicInequalityEvaluator()
         self._backend = backend
         self._arbiter = PushdownArbiter(backend) if backend is not None else None
         self._counting = CountingYannakakisEvaluator(reducer=self._yannakakis)
-        self._parallel_counting = (
-            CountingYannakakisEvaluator(reducer=self._parallel_yannakakis)
-            if self._parallel_yannakakis is not None
-            else None
-        )
         # The per-layer dispatch table the Operation API rides on: adding
         # an operation kind means one entry here (plus its thin facade),
         # not a parallel copy of the plan/record/batch plumbing.
@@ -467,11 +458,6 @@ class QueryEngine:
         plans from planners predating ``count_mode``)."""
         return plan.count_mode or counting_mode(query, plan.structural_class)
 
-    def _counting_evaluator(self, plan: QueryPlan) -> CountingYannakakisEvaluator:
-        if plan.shard_count > 1 and self._parallel_counting is not None:
-            return self._parallel_counting
-        return self._counting
-
     def _count_with_plan(
         self, plan: QueryPlan, query: ConjunctiveQuery, database: Database
     ) -> int:
@@ -486,7 +472,7 @@ class QueryEngine:
         if mode in FAST_COUNTING_MODES:
             reusable = plan.analysis.variable_layout == variable_layout(query)
             tree = plan.analysis.join_tree if reusable else None
-            return self._counting_evaluator(plan).count(
+            return self._counting.count(
                 query,
                 database,
                 join_tree=tree,
@@ -510,8 +496,13 @@ class QueryEngine:
         if mode in FAST_COUNTING_MODES:
             reusable = plan.analysis.variable_layout == variable_layout(query)
             tree = plan.analysis.join_tree if reusable else None
-            fast = self._counting_evaluator(plan).grouped_count(
-                query, database, group_by, join_tree=tree, mode=mode
+            fast = self._counting.grouped_count(
+                query,
+                database,
+                group_by,
+                join_tree=tree,
+                mode=mode,
+                shard_count=plan.shard_count,
             )
             if fast is not None:
                 return fast
@@ -670,18 +661,13 @@ class QueryEngine:
         tree = plan.analysis.join_tree if reusable else None
         root = len(lifted.query.atoms) - 1  # the parameter atom
         start = perf_counter()
-        if plan.shard_count > 1 and self._parallel_yannakakis is not None:
-            reduced = self._parallel_yannakakis.reduce_bottom_up(
-                lifted.query,
-                lifted.database,
-                join_tree=tree,
-                root=root,
-                shard_count=plan.shard_count,
-            )
-        else:
-            reduced = self._yannakakis.reduce_bottom_up(
-                lifted.query, lifted.database, join_tree=tree, root=root
-            )
+        reduced = self._yannakakis.reduce_bottom_up(
+            lifted.query,
+            lifted.database,
+            join_tree=tree,
+            root=root,
+            shard_count=plan.shard_count,
+        )
         decisions = lifted.decide_members(reduced)
         self._record(
             key, plan, perf_counter() - start, None, lifted.query, lifted.database
@@ -716,26 +702,14 @@ class QueryEngine:
             # Reuse the plan's join tree: a cache hit must not pay for the
             # GYO reduction again.
             tree = plan.analysis.join_tree if reusable else None
-            if (
-                plan is not None
-                and plan.shard_count > 1
-                and self._parallel_yannakakis is not None
-            ):
-                engine = self._parallel_yannakakis
-                return (
-                    engine.decide(
-                        query, database, join_tree=tree, shard_count=plan.shard_count
-                    )
-                    if decide
-                    else engine.evaluate(
-                        query, database, join_tree=tree, shard_count=plan.shard_count
-                    )
-                )
+            shards = plan.shard_count if plan is not None else 1
             engine = self._yannakakis
             return (
-                engine.decide(query, database, join_tree=tree)
+                engine.decide(query, database, join_tree=tree, shard_count=shards)
                 if decide
-                else engine.evaluate(query, database, join_tree=tree)
+                else engine.evaluate(
+                    query, database, join_tree=tree, shard_count=shards
+                )
             )
         if evaluator == TREEWIDTH:
             decomposition = plan.analysis.decomposition if reusable else None

@@ -204,8 +204,8 @@ class Planner:
         The schema signature already tracks each relation's cardinality at
         bit-length grain — the same scale measure decides here: acyclic
         plans whose largest input meets the threshold are sharded
-        ``shard_count`` ways (the parallel Yannakakis executor consumes
-        this); everything else stays sequential.
+        ``shard_count`` ways (the Yannakakis evaluator's semijoin passes
+        consume this); everything else stays at one shard.
         """
         if evaluator != YANNAKAKIS:
             return 1
@@ -331,8 +331,16 @@ class Planner:
         database: Database,
         answer_estimate: float,
     ) -> float:
+        # Theorem 2's passes keep the static pass weight: the calibration
+        # feed observes the Yannakakis evaluator, a different code path,
+        # and a fast one there must not make the hash-family trials look
+        # cheap.
         trials = float(2 ** min(len(query.inequalities), 16))
-        return trials * self._acyclic_cost(query, database, answer_estimate)
+        total = sum(
+            self._candidate_cardinality(atom, database[atom.relation])
+            for atom in query.atoms
+        )
+        return trials * (_PASS_WEIGHT * _NUM_PASSES * total + answer_estimate)
 
     def _treewidth_cost(
         self,

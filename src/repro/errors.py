@@ -254,9 +254,9 @@ class BackendError(ReproError):
 class BackendUnavailableError(BackendError):
     """The backend's driver module is not importable in this process.
 
-    Raised at adapter construction time (e.g. :class:`DuckDbBackend` when
-    ``duckdb`` is not installed), never mid-query — an engine is wired to
-    a backend that exists or to none.
+    Raised at adapter construction time (an optional driver that is not
+    installed), never mid-query — an engine is wired to a backend that
+    exists or to none.
     """
 
 

@@ -74,11 +74,10 @@ def _head_variable_names(query: ConjunctiveQuery) -> Tuple[str, ...]:
 class CountingYannakakisEvaluator:
     """Multiplicity-annotated Yannakakis counting for acyclic queries.
 
-    Composes with any reducer exposing the sequential evaluator's
-    ``_prepare``/``full_reduction``/``reduce_bottom_up`` surface — the
-    engine passes its shard-parallel evaluator when the plan says the
-    inputs are large, so the reduction phase shards for free and only the
-    linear fold stays sequential.
+    The reducer is a :class:`~repro.evaluation.yannakakis.YannakakisEvaluator`
+    (the engine passes its own, pool included); every reducer pass runs at
+    the caller's ``shard_count``, so the reduction phase shards for free
+    and only the linear fold stays sequential.
     """
 
     def __init__(self, reducer: Optional[YannakakisEvaluator] = None) -> None:
@@ -99,8 +98,9 @@ class CountingYannakakisEvaluator:
         *mode* is the precomputed :func:`~repro.engine.analysis.counting_mode`
         (recomputed here when absent); raises :class:`QueryError` on the
         hard modes — the caller owns the evaluate-then-count fallback.
-        *shard_count* > 1 splits the final count into hash-disjoint
-        partials merged by addition (see :class:`CountResult`).
+        *shard_count* > 1 shards the reducer passes and splits the final
+        count into hash-disjoint partials merged by addition (see
+        :class:`CountResult`).
         """
         from ..engine.analysis import (  # local import: engine imports us
             ACYCLIC,
@@ -124,10 +124,10 @@ class CountingYannakakisEvaluator:
             )
 
         if mode == COUNT_BOOLEAN:
-            nonempty = (
-                self._reducer.reduce_bottom_up(query, database, join_tree)
-                is not None
+            reduced = self._reducer.reduce_bottom_up(
+                query, database, join_tree, shard_count=shard_count
             )
+            nonempty = reduced is not None
             return CountResult(int(nonempty), mode, (int(nonempty),))
 
         prepared = self._reducer._prepare(query, database, join_tree)
@@ -144,10 +144,10 @@ class CountingYannakakisEvaluator:
             assert node is not None
             if node != tree.root:
                 tree = tree.rooted_at(node)
-            reduced = self._reducer.bottom_up_reduction(relations, tree)
+            reduced = self._reducer.bottom_up_reduction(relations, tree, shard_count)
             return self._count_covered(query, reduced[node], shard_count)
 
-        reduced = self._reducer.bottom_up_reduction(relations, tree)
+        reduced = self._reducer.bottom_up_reduction(relations, tree, shard_count)
         if reduced[tree.root].is_empty():
             return CountResult(0, mode, (0,) * max(1, shard_count))
         annotations = self._annotate(reduced, tree)
@@ -161,12 +161,14 @@ class CountingYannakakisEvaluator:
         group_by: Sequence[str],
         join_tree: Optional[JoinTree] = None,
         mode: Optional[str] = None,
+        shard_count: int = 1,
     ) -> Optional[Relation]:
         """Per-group answer counts over the *group_by* head variables.
 
         Returns a relation over ``group_by + (count column,)`` — one row
         per occupied group — or ``None`` when no fast path applies (the
         caller then materializes and uses :func:`grouped_count_reference`).
+        *shard_count* shards the reducer passes, as in :meth:`count`.
         """
         from ..engine.analysis import (
             COUNT_COVERED,
@@ -200,7 +202,7 @@ class CountingYannakakisEvaluator:
             assert node is not None
             if node != tree.root:
                 tree = tree.rooted_at(node)
-            reduced = self._reducer.bottom_up_reduction(relations, tree)
+            reduced = self._reducer.bottom_up_reduction(relations, tree, shard_count)
             distinct = self._distinct_head(query, reduced[node])
             counts: Dict[Tuple, int] = {}
             positions = tuple(head_names.index(name) for name in group)
@@ -222,7 +224,7 @@ class CountingYannakakisEvaluator:
             return None
         if root != tree.root:
             tree = tree.rooted_at(root)
-        reduced = self._reducer.bottom_up_reduction(relations, tree)
+        reduced = self._reducer.bottom_up_reduction(relations, tree, shard_count)
         if reduced[tree.root].is_empty():
             return _group_relation(group, {})
         annotations = self._annotate(reduced, tree)
@@ -243,8 +245,8 @@ class CountingYannakakisEvaluator:
 
         With ``shard_count > 1`` the relation is hash-partitioned on the
         head positions first: no key spans two shards, so the per-shard
-        distinct counts sum exactly — the same merge the sharded executor
-        performs across workers.
+        distinct counts sum exactly — the same merge the sharded semijoin
+        kernels perform across workers.
         """
         from ..engine.analysis import COUNT_COVERED
 
@@ -278,9 +280,10 @@ class CountingYannakakisEvaluator:
         nodes never materialize per-row annotations: each folds its
         children's *upward sums* (annotation totals per shared join key)
         in one pass over its rows, emitting its own upward sums as it
-        goes, and leaves read bucket sizes straight off the index the
-        reducer's semijoins already built — same positions, same key
-        convention, so the fold costs one warm pass per node.
+        goes, and leaves read bucket sizes straight off the index on the
+        parent join key (warm when the reducer's bucket kernel built it —
+        same positions, same key convention), so the fold costs one pass
+        per node.
         """
         upward: Dict[int, Dict[Any, int]] = {}
         children_of: Dict[Optional[int], List[int]] = {}
@@ -309,7 +312,7 @@ class CountingYannakakisEvaluator:
                 for a in reduced[parent].attributes
                 if a in rel_attrs
             )
-            buckets = rel._index(positions_up)  # warm: the reducer built it
+            buckets = rel._index(positions_up)
             if not lookups:
                 upward[node] = {
                     key: len(rows) for key, rows in buckets.items()

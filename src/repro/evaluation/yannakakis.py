@@ -15,14 +15,40 @@ The classical polynomial-combined-complexity evaluation of acyclic joins
 The emptiness / decision variants stop after the bottom-up pass.  Queries
 with inequality or comparison atoms are rejected here — that is exactly the
 extension Theorem 2 (``repro.inequalities``) provides.
+
+Durand–Grandjean show acyclic queries are evaluable in essentially linear
+time; operationally the passes are *data-parallel*, and the evaluator is
+organised around that:
+
+* **head-aware rooting** — before the passes, the join tree is re-rooted at
+  the node covering the most head variables (sound for any root: the join
+  tree property is a property of the undirected tree).  With the head
+  concentrated at the root, upward edges stop dragging head columns
+  through every intermediate instead of materializing cross-product-sized
+  carriers;
+* **semijoin-shaped upward joins** — an upward join-project edge whose kept
+  columns all exist in the parent (``keep ⊆ parent attributes``, the common
+  case once the head sits at the root) *is* a semijoin, and runs as one;
+* **level scheduling** — tree edges are grouped by child depth; within a
+  level, edges are grouped by parent (a parent absorbs its children
+  sequentially, which is the semijoin chain) and, on sharded calls, the
+  per-parent groups fan out across the optional worker pool;
+* **sharded semijoins** — every semijoin runs through
+  :func:`repro.parallel.ops.parallel_semijoin` with the per-call
+  ``shard_count`` (1 unless the engine's plan says the inputs are large):
+  co-partitioned hash shards and bucket-centric kernels where the operands'
+  caches are warm or real workers exist, the kernel's row-scan semijoin
+  otherwise.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import NotAcyclicError, QueryError
+from ..errors import QueryError
 from ..hypergraph.join_tree import JoinTree
+from ..parallel.ops import parallel_semijoin
+from ..parallel.pool import WorkerPool
 from ..query.conjunctive import ConjunctiveQuery
 from ..relational.database import Database
 from ..relational.joins import JoinAlgorithm, hash_join
@@ -32,10 +58,27 @@ from .instantiation import answers_relation, candidate_relations
 
 
 class YannakakisEvaluator:
-    """Acyclic-query evaluation in polynomial combined complexity."""
+    """Acyclic-query evaluation in polynomial combined complexity.
 
-    def __init__(self, join_algorithm: JoinAlgorithm = hash_join) -> None:
+    Parameters
+    ----------
+    join_algorithm:
+        Join for the upward edges that carry columns into their parent.
+        The default hash join pushes the projection into the join
+        (``Relation._join_keep``); any other algorithm gets the explicit
+        project-then-join equivalent.
+    pool:
+        Worker pool for level fan-out and sharded semijoins (tasks run
+        inline when omitted).
+    """
+
+    def __init__(
+        self,
+        join_algorithm: JoinAlgorithm = hash_join,
+        pool: Optional[WorkerPool] = None,
+    ) -> None:
         self._join = join_algorithm
+        self._pool = pool
 
     # ------------------------------------------------------------------
 
@@ -44,6 +87,7 @@ class YannakakisEvaluator:
         query: ConjunctiveQuery,
         database: Database,
         join_tree: Optional[JoinTree] = None,
+        shard_count: int = 1,
     ) -> bool:
         """Is Q(d) nonempty?  One bottom-up semijoin pass.
 
@@ -51,7 +95,10 @@ class YannakakisEvaluator:
         query hypergraph (the adaptive engine's cached plans carry one),
         skipping the GYO reduction.
         """
-        return self.reduce_bottom_up(query, database, join_tree) is not None
+        reduced = self.reduce_bottom_up(
+            query, database, join_tree, shard_count=shard_count
+        )
+        return reduced is not None
 
     def reduce_bottom_up(
         self,
@@ -59,6 +106,7 @@ class YannakakisEvaluator:
         database: Database,
         join_tree: Optional[JoinTree] = None,
         root: Optional[int] = None,
+        shard_count: int = 1,
     ) -> Optional[Relation]:
         """The root's candidate relation after one bottom-up semijoin pass.
 
@@ -77,16 +125,15 @@ class YannakakisEvaluator:
         relations, tree = prepared
         if root is not None and root != tree.root:
             tree = tree.rooted_at(root)
-        for node in tree.bottom_up_order():
-            parent = tree.parent(node)
-            if parent is None:
-                continue
-            # Per-node cancellation check-point: between semijoins no
-            # external state is held, so aborting here is always safe.
-            check_cancelled()
-            relations[parent] = relations[parent].semijoin(relations[node])
-            if relations[parent].is_empty():
-                return None
+        # Cancellation check-points: every semijoin (parallel_semijoin), so
+        # between any two of them no external state is held.
+        for groups in tree.levels():
+            for (parent, _), result in zip(
+                groups, self._reduce_level(relations, groups, shard_count)
+            ):
+                if result.is_empty():
+                    return None
+                relations[parent] = result
         reduced = relations[tree.root]
         return None if reduced.is_empty() else reduced
 
@@ -105,6 +152,7 @@ class YannakakisEvaluator:
         query: ConjunctiveQuery,
         database: Database,
         join_tree: Optional[JoinTree] = None,
+        shard_count: int = 1,
     ) -> Relation:
         """Q(d) in time polynomial in input + output (full Yannakakis)."""
         prepared = self._prepare(query, database, join_tree)
@@ -112,48 +160,54 @@ class YannakakisEvaluator:
         if prepared is None:
             return answers_relation(query.head_terms, Relation.from_rows(head_names))
         relations, tree = prepared
+        head_set = set(head_names)
+        tree = _reroot_for_head(tree, head_set)
 
-        relations = self.full_reduction(relations, tree)
+        relations = self.full_reduction(relations, tree, shard_count)
         if relations[tree.root].is_empty():
             return answers_relation(query.head_terms, Relation.from_rows(head_names))
 
         # Upward join-and-project pass (paper's Algorithm 2, step 2, in the
         # plain setting): carry shared attributes plus output attributes.
-        # With the default hash join the projection is pushed *into* the
-        # join (Relation._join_keep), so the child's wide intermediate is
-        # never materialized; a custom join algorithm gets the explicit
-        # project-then-join equivalent.
         fused = self._join is hash_join
-        head_set = set(head_names)
-        for node in tree.bottom_up_order():
-            parent = tree.parent(node)
-            if parent is None:
-                continue
+        for groups in tree.levels():
             check_cancelled()
-            parent_vars = {v for v in relations[parent].attributes}
-            keep = tuple(
-                a
-                for a in relations[node].attributes
-                if a in parent_vars or a in head_set
-            )
-            if fused:
-                relations[parent] = relations[parent]._join_keep(
-                    relations[node], keep
-                )
-            else:
-                relations[parent] = self._join(
-                    relations[parent], relations[node].project(keep)
-                )
+            for parent, children in groups:
+                for node in children:
+                    parent_rel = relations[parent]
+                    child_rel = relations[node]
+                    parent_vars = set(parent_rel.attributes)
+                    keep = tuple(
+                        a
+                        for a in child_rel.attributes
+                        if a in parent_vars or a in head_set
+                    )
+                    if all(a in parent_vars for a in keep):
+                        # keep ⊆ parent: the join adds no columns — it *is*
+                        # a semijoin.
+                        relations[parent] = parallel_semijoin(
+                            parent_rel, child_rel, shard_count, self._pool
+                        )
+                    elif fused:
+                        relations[parent] = parent_rel._join_keep(child_rel, keep)
+                    else:
+                        relations[parent] = self._join(
+                            parent_rel, child_rel.project(keep)
+                        )
 
-        answer_vars = relations[tree.root].project(
-            tuple(a for a in relations[tree.root].attributes if a in head_set)
+        root = relations[tree.root]
+        answer_vars = root.project(
+            tuple(a for a in root.attributes if a in head_set)
         ).project(head_names)
         return answers_relation(query.head_terms, answer_vars)
 
     # ------------------------------------------------------------------
 
     def bottom_up_reduction(
-        self, relations: Dict[int, Relation], tree: JoinTree
+        self,
+        relations: Dict[int, Relation],
+        tree: JoinTree,
+        shard_count: int = 1,
     ) -> Dict[int, Relation]:
         """The upward half of the full reducer — one semijoin pass.
 
@@ -165,29 +219,39 @@ class YannakakisEvaluator:
         at half the passes of :meth:`full_reduction`.
         """
         reduced = dict(relations)
-        for node in tree.bottom_up_order():
-            parent = tree.parent(node)
-            if parent is None:
-                continue
-            check_cancelled()
-            reduced[parent] = reduced[parent].semijoin(reduced[node])
+        for groups in tree.levels():
+            for (parent, _), result in zip(
+                groups, self._reduce_level(reduced, groups, shard_count)
+            ):
+                reduced[parent] = result
         return reduced
 
     def full_reduction(
-        self, relations: Dict[int, Relation], tree: JoinTree
+        self,
+        relations: Dict[int, Relation],
+        tree: JoinTree,
+        shard_count: int = 1,
     ) -> Dict[int, Relation]:
         """Semijoin full reducer: bottom-up then top-down pass.
 
         Returns a new mapping in which the relations are globally
-        consistent: P_u = π_{attrs(P_u)}(P_1 ⋈ ... ⋈ P_s).
+        consistent: P_u = π_{attrs(P_u)}(P_1 ⋈ ... ⋈ P_s).  The top-down
+        pass fans per-edge tasks out one level at a time (every child is
+        written exactly once).
         """
-        reduced = self.bottom_up_reduction(relations, tree)
-        for node in tree.top_down_order():
-            parent = tree.parent(node)
-            if parent is None:
-                continue
-            check_cancelled()
-            reduced[node] = reduced[node].semijoin(reduced[parent])
+        reduced = self.bottom_up_reduction(relations, tree, shard_count)
+        for groups in reversed(tree.levels()):
+            edges = [(node, parent) for parent, children in groups for node in children]
+
+            def reduce_child(edge: Tuple[int, int]) -> Relation:
+                node, parent = edge
+                return parallel_semijoin(
+                    reduced[node], reduced[parent], shard_count, self._pool
+                )
+
+            results = self._fan_out(reduce_child, edges, shard_count)
+            for (node, _), result in zip(edges, results):
+                reduced[node] = result
         return reduced
 
     # ------------------------------------------------------------------
@@ -204,16 +268,70 @@ class YannakakisEvaluator:
                 "YannakakisEvaluator handles purely relational acyclic "
                 "queries; use repro.inequalities for queries with != atoms"
             )
-        if join_tree is not None:
-            tree = join_tree
-        else:
-            hypergraph = query.hypergraph()
-            try:
-                tree = JoinTree.from_hypergraph(hypergraph)
-            except NotAcyclicError:
-                raise
+        tree = join_tree
+        if tree is None:
+            tree = JoinTree.from_hypergraph(query.hypergraph())
         candidates = candidate_relations(query.atoms, database)
         relations = {i: rel for i, rel in enumerate(candidates)}
         if any(rel.is_empty() for rel in relations.values()):
             return None
         return relations, tree
+
+    def _reduce_level(
+        self,
+        relations: Dict[int, Relation],
+        groups: Sequence[Tuple[int, Tuple[int, ...]]],
+        shard_count: int,
+    ) -> List[Relation]:
+        """One bottom-up level: each parent's semijoin chain over its
+        children, the per-parent chains fanned across the pool.  Tasks only
+        read *relations*; the caller commits the returned results."""
+
+        def reduce_parent(group: Tuple[int, Tuple[int, ...]]) -> Relation:
+            parent, children = group
+            current = relations[parent]
+            for node in children:
+                current = parallel_semijoin(
+                    current, relations[node], shard_count, self._pool
+                )
+            return current
+
+        return self._fan_out(reduce_parent, groups, shard_count)
+
+    def _fan_out(self, fn, tasks, shard_count: int):
+        # Fan out only where the plan sharded: a one-shard plan's inputs
+        # are too small for thread hand-offs to pay.
+        pool = self._pool
+        if shard_count > 1 and pool is not None and pool.supports_closures:
+            return pool.map(fn, tasks)
+        return [fn(task) for task in tasks]
+
+
+# ----------------------------------------------------------------------
+# Head-aware rooting
+# ----------------------------------------------------------------------
+
+
+def _reroot_for_head(tree: JoinTree, head_names: set) -> JoinTree:
+    """The same undirected join tree, rooted where the head lives.
+
+    Picks the node whose variable set covers the most head variables
+    (lowest index on ties) and re-roots there
+    (:meth:`~repro.hypergraph.join_tree.JoinTree.rooted_at`).  This
+    rooting makes the upward join-project pass reach the head with the
+    fewest column-carrying (non-semijoin) edges.
+
+    Deliberately recomputed per evaluation: the walk is O(query), noise
+    next to the data passes, and caching it would need an identity-safe
+    key on the (plan-owned) input tree.
+    """
+    if not head_names:
+        return tree
+    best = max(
+        tree.nodes(),
+        key=lambda i: (
+            len(head_names & {v.name for v in tree.node_vars[i]}),
+            -i,
+        ),
+    )
+    return tree.rooted_at(best)

@@ -30,7 +30,7 @@ class JoinTree:
         U_j for atom j).
     """
 
-    __slots__ = ("_parent", "_children", "_root", "node_vars")
+    __slots__ = ("_parent", "_children", "_root", "node_vars", "_rerooted", "_levels")
 
     def __init__(
         self,
@@ -47,6 +47,10 @@ class JoinTree:
                 self._children[par].append(child)
         for kids in self._children.values():
             kids.sort()
+        # The tree is immutable, so derived rootings and schedules are
+        # cached on it (plans reuse one tree across executions).
+        self._rerooted: Dict[int, "JoinTree"] = {}
+        self._levels: Optional[tuple] = None
 
     # ------------------------------------------------------------------
 
@@ -105,6 +109,30 @@ class JoinTree:
         order.reverse()
         return tuple(order)
 
+    def levels(self) -> Tuple[Tuple[Tuple[int, Tuple[int, ...]], ...], ...]:
+        """The bottom-up schedule: one entry per depth, deepest first,
+        holding that depth's edges grouped as ``(parent, its children)``.
+
+        Processing a depth after the one below it preserves the bottom-up
+        invariant: every node has already absorbed its own children when
+        its edge to its parent runs.  Reversed, it is a top-down schedule.
+        """
+        if self._levels is None:
+            levels = []
+            parents = [self._root]
+            while True:
+                groups = tuple(
+                    (parent, tuple(self._children[parent]))
+                    for parent in parents
+                    if self._children[parent]
+                )
+                if not groups:
+                    break
+                levels.append(groups)
+                parents = [node for _, children in groups for node in children]
+            self._levels = tuple(reversed(levels))
+        return self._levels
+
     def top_down_order(self) -> Tuple[int, ...]:
         """Nodes in an order where every parent precedes its children."""
         return tuple(reversed(self.bottom_up_order()))
@@ -140,14 +168,17 @@ class JoinTree:
 
         Any rooting of a join tree is a join tree (the running-intersection
         property is a property of the undirected tree), so the semijoin
-        passes stay correct under any choice of root.  The parallel
-        executor roots where the head lives; the decision-only batch path
+        passes stay correct under any choice of root.  The Yannakakis
+        evaluator roots where the head lives; the decision-only batch path
         roots at the parameter atom so the bottom-up pass ends there.
         """
         if node not in self._parent:
             raise KeyError(f"unknown join-tree node {node}")
         if node == self._root:
             return self
+        cached = self._rerooted.get(node)
+        if cached is not None:
+            return cached
         adjacency: Dict[int, List[int]] = {member: [] for member in self._parent}
         for child, par in self._parent.items():
             if par is not None:
@@ -161,7 +192,8 @@ class JoinTree:
                 if neighbor not in parent_map:
                     parent_map[neighbor] = current
                     stack.append(neighbor)
-        return JoinTree(parent_map, node, self.node_vars)
+        rerooted = self._rerooted[node] = JoinTree(parent_map, node, self.node_vars)
+        return rerooted
 
     # ------------------------------------------------------------------
 

@@ -10,8 +10,6 @@ partitionable.  This package provides:
 * shard-parallel operator drivers (:func:`parallel_semijoin`,
   :func:`parallel_hash_join`, :func:`parallel_select_eq`) built on
   bucket-centric per-shard kernels;
-* :class:`ParallelYannakakisEvaluator` — level-parallel, sharded
-  Yannakakis passes for acyclic queries;
 * batch lifting (:func:`lift_batch_group`) — N-wide execution of
   same-shape query batches through a parameter relation;
 * :class:`WorkerPool` — serial / thread / process fan-out.
@@ -20,8 +18,8 @@ See ``docs/parallel.md`` for the sharding scheme, the co-partitioning
 contract, and how the planner decides shard counts.
 """
 
+from ..evaluation.yannakakis import YannakakisEvaluator
 from .batch import LiftedBatch, lift_batch_group
-from .executor import ParallelYannakakisEvaluator
 from .ops import (
     DEFAULT_SHARD_COUNT,
     bucket_semijoin,
@@ -31,6 +29,9 @@ from .ops import (
 )
 from .pool import POOL_MODES, WorkerPool, default_worker_count
 from .sharding import ShardedRelation, shard_relation
+
+# An alias kept for the benchmark harness (perfbench/), which imports it.
+ParallelYannakakisEvaluator = YannakakisEvaluator
 
 __all__ = [
     "DEFAULT_SHARD_COUNT",

@@ -113,25 +113,26 @@ def parallel_semijoin(
     pairs with an empty partner are dropped without scanning.  With no
     shared attributes this degenerates to the kernel's nonempty test.
 
-    The driver is *cache-adaptive*: sharding an operand costs one pass, so
-    the sharded path runs when the probe side's partition is already cached
-    (warm — e.g. a base relation semijoined every execution) or when the
-    pool has real workers to amortize the split.  A cold operand on a
-    serial pool uses the bucket kernel if its key index happens to be warm,
-    and otherwise falls through to the kernel's row-scan semijoin — the
-    layer never pays more than sequential execution would.
+    The driver is *cache-adaptive*, with one rule for every shard count:
+    the bucket kernel runs only where it does not start cold.  Sharding an
+    operand costs one pass, so the sharded path (``shard_count > 1``) runs
+    when the probe side's partition is already cached (warm — e.g. a base
+    relation semijoined every execution) or when the pool has real workers
+    to amortize the split.  Otherwise the unsharded bucket kernel runs if
+    the probe side's key index is warm, and everything else falls through
+    to the kernel's row-scan semijoin.  On a serial pool the layer thus
+    never pays more than sequential execution would, and never builds a
+    cold index on a freshly derived relation.
     """
     check_cancelled()
     shared = shared_attributes(left.attributes, right.attributes)
-    if not shared:
+    if not shared or not left.rows or not right.rows:
         return left.semijoin(right)
     left_positions = positions_of(left.attributes, shared)
-    right_positions = positions_of(right.attributes, shared)
-    if shard_count <= 1 or not left.rows or not right.rows:
-        return bucket_semijoin(left, right, left_positions, right_positions)
     workers = pool.max_workers if pool is not None else 1
     partition_warm = (left_positions, shard_count) in left._partitions
-    if workers > 1 or partition_warm:
+    if shard_count > 1 and (workers > 1 or partition_warm):
+        right_positions = positions_of(right.attributes, shared)
         left_shards = left._partition(left_positions, shard_count)
         right_shards = right._partition(right_positions, shard_count)
         tasks = [
@@ -145,6 +146,7 @@ def parallel_semijoin(
             left.attributes, frozenset().union(*(part.rows for part in parts))
         )
     if left_positions in left._indexes:
+        right_positions = positions_of(right.attributes, shared)
         return bucket_semijoin(left, right, left_positions, right_positions)
     return left.semijoin(right)
 

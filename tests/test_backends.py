@@ -4,8 +4,7 @@ The differential oracle (``tests/test_differential_sql.py``) proves the
 backend *agrees* with the native engine; this file pins the pieces in
 isolation — the SQL the compiler emits, the fragment boundary
 (:class:`SqlCompilationError`), the generic operation surface, table
-lifecycle/eviction, the latency arbiter's explore/exploit policy, and the
-gated DuckDB adapter.
+lifecycle/eviction, and the latency arbiter's explore/exploit policy.
 """
 
 import gc
@@ -20,11 +19,9 @@ from repro.backends import (
     SqliteBackend,
     canonical_value,
     compile_query,
-    duckdb_available,
 )
 from repro.errors import (
     BackendError,
-    BackendUnavailableError,
     InvalidOperationError,
     SchemaError,
     SqlCompilationError,
@@ -175,16 +172,6 @@ class TestSqliteBackend:
     def test_canonical_value_maps_to_pool_representative(self):
         assert canonical_value(True) == 1
         assert canonical_value(1.0) == canonical_value(1)
-
-
-class TestDuckDbGate:
-    def test_adapter_raises_when_driver_missing(self):
-        if duckdb_available():  # pragma: no cover - not in this container
-            pytest.skip("duckdb installed; gate not exercised")
-        from repro.backends import DuckDbBackend
-
-        with pytest.raises(BackendUnavailableError):
-            DuckDbBackend()
 
 
 class TestArbiter:

@@ -3,6 +3,7 @@ partial counts, grouped counts, and the aggregate facades."""
 
 import pytest
 
+import repro.evaluation.yannakakis as yannakakis_module
 from repro import Database, QueryEngine, Relation, parse_query
 from repro.engine import (
     COUNT_BOOLEAN,
@@ -232,7 +233,36 @@ class TestEngineCountingFacade:
             planner=Planner(shard_threshold_rows=1, shard_count=4)
         ) as sharded, QueryEngine(parallel=False) as serial:
             assert sharded.plan_for(query, chain).shard_count == 4
-            assert sharded.count(query, chain) == serial.count(query, chain)
+            expected = naive_count(query, chain)
+            assert sharded.count(query, chain) == expected
+            assert serial.count(query, chain) == expected
+
+    def test_counting_reducer_runs_at_the_plans_shard_count(
+        self, chain, monkeypatch
+    ):
+        seen = []
+        semijoin = yannakakis_module.parallel_semijoin
+
+        def spy(left, right, shard_count, pool):
+            seen.append(shard_count)
+            return semijoin(left, right, shard_count=shard_count, pool=pool)
+
+        monkeypatch.setattr(yannakakis_module, "parallel_semijoin", spy)
+        planner = Planner(shard_count=7, shard_threshold_rows=1)
+        with QueryEngine(planner=planner) as engine:
+            # boolean, covered, covered, full
+            for head_arity in (0, 1, 2, 4):
+                query = path_query(3, head_arity=head_arity)
+                assert engine.plan_for(query, chain).shard_count == 7
+                seen.clear()
+                assert engine.count(query, chain) == naive_count(query, chain)
+                assert seen and set(seen) == {7}
+            query = path_query(3, head_arity=2)
+            seen.clear()
+            grouped = engine.grouped_count(query, chain, ("x0",))
+            answers = NaiveEvaluator().evaluate(query, chain)
+            assert grouped == grouped_count_reference(query, answers, ("x0",))
+            assert seen and set(seen) == {7}
 
     def test_count_batch(self, chain):
         queries = [path_query(n, head_arity=1) for n in (1, 2, 3)]

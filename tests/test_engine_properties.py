@@ -10,14 +10,19 @@ the treewidth evaluator, and the Theorem 2 machinery return.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro import Database, QueryEngine
+from repro import ConjunctiveQuery, Database, QueryEngine
+from repro.engine import Planner
+from repro.engine.analysis import ACYCLIC, FAST_COUNTING_MODES, counting_mode
 from repro.evaluation import (
+    CountingYannakakisEvaluator,
     NaiveEvaluator,
     TreewidthEvaluator,
     YannakakisEvaluator,
 )
 from repro.inequalities import AcyclicInequalityEvaluator
+from repro.parallel import WorkerPool
 from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.workloads import (
     chain_database,
@@ -74,6 +79,66 @@ class TestAcyclicAgreement:
         assert (
             AcyclicInequalityEvaluator().evaluate(query, database) == reference
         )
+
+
+class TestYannakakisAtEveryShardCount:
+    """One evaluator, every shard count: ``evaluate``, ``decide``, the
+    bottom-up pass at every root, and ``count`` agree with the naive
+    backtracking oracle.  ``workers=2`` (a serial pool claiming two
+    workers) drives the sharded kernels inline; ``workers=1`` takes the
+    unsharded fallbacks at the same shard count."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        head_arity=st.integers(0, 3),
+        shard_count=st.sampled_from((1, 2, 7)),
+        workers=st.sampled_from((1, 2)),
+    )
+    def test_matches_naive(self, seed, head_arity, shard_count, workers):
+        rng = random.Random(seed)
+        query = random_acyclic_query(
+            num_atoms=rng.randint(1, 5),
+            max_arity=3,
+            num_inequalities=0,
+            seed=seed,
+            head_arity=head_arity,
+        )
+        database = database_for(query, domain_size=6, tuples=25, seed=seed)
+        naive = NaiveEvaluator()
+        reference = naive.evaluate(query, database)
+        evaluator = YannakakisEvaluator(
+            pool=WorkerPool(max_workers=workers, mode="serial")
+        )
+
+        assert evaluator.evaluate(query, database, shard_count=shard_count) == (
+            reference
+        )
+        assert evaluator.decide(query, database, shard_count=shard_count) == (
+            not reference.is_empty()
+        )
+        for root, atom in enumerate(query.atoms):
+            witnessed = naive.evaluate(
+                ConjunctiveQuery(atom.variables(), query.atoms), database
+            )
+            reduced = evaluator.reduce_bottom_up(
+                query, database, root=root, shard_count=shard_count
+            )
+            if witnessed.is_empty():
+                assert reduced is None
+            else:
+                names = tuple(v.name for v in atom.variables())
+                assert reduced.project(names).rows == witnessed.rows
+
+        mode = counting_mode(query, ACYCLIC)
+        if mode in FAST_COUNTING_MODES:
+            counted = CountingYannakakisEvaluator(reducer=evaluator).count(
+                query, database, mode=mode, shard_count=shard_count
+            )
+            assert counted.total == reference.cardinality
+        planner = Planner(shard_threshold_rows=1, shard_count=shard_count)
+        with QueryEngine(planner=planner, max_workers=workers) as engine:
+            assert engine.count(query, database) == reference.cardinality
 
 
 class TestCyclicAgreement:

@@ -17,12 +17,13 @@ import pytest
 from repro import (
     ConjunctiveQuery,
     Database,
+    NaiveEvaluator,
     QueryEngine,
     Relation,
     YannakakisEvaluator,
 )
 from repro.engine import DEFAULT_REPLAN_LIMIT, Planner
-from repro.parallel import ParallelYannakakisEvaluator, lift_batch_group
+from repro.parallel import WorkerPool, lift_batch_group
 from repro.operations import DECIDE, operations_of
 from repro.query.atoms import Atom
 from repro.query.terms import Constant, Variable
@@ -191,8 +192,8 @@ class TestDecideBatch:
         return star_database(4, 150, seed=3)
 
     def _reference(self, queries, database):
-        sequential = QueryEngine(parallel=False)
-        return [sequential.decide(query, database) for query in queries]
+        naive = NaiveEvaluator()
+        return [naive.decide(query, database) for query in queries]
 
     def test_matches_per_member_decide_with_negatives(self, chain_db):
         query = path_query(4, head_arity=1)
@@ -298,17 +299,20 @@ class TestReduceBottomUp:
             )
             assert reduced is not None
 
-    def test_parallel_matches_sequential(self):
-        sequential = YannakakisEvaluator()
-        parallel = ParallelYannakakisEvaluator()
-        for root in range(len(self.query.atoms)):
-            left = sequential.reduce_bottom_up(
-                self.query, self.database, root=root
+    def test_every_root_and_shard_count_matches_naive(self):
+        # Two nominal workers on a serial pool: shard_count 4 runs the
+        # sharded kernels, inline.
+        evaluator = YannakakisEvaluator(pool=WorkerPool(max_workers=2, mode="serial"))
+        for root, atom in enumerate(self.query.atoms):
+            names = tuple(v.name for v in atom.variables())
+            witnessed = NaiveEvaluator().evaluate(
+                ConjunctiveQuery(atom.variables(), self.query.atoms), self.database
             )
-            right = parallel.reduce_bottom_up(
-                self.query, self.database, root=root, shard_count=4
-            )
-            assert left == right
+            for shard_count in (1, 4):
+                reduced = evaluator.reduce_bottom_up(
+                    self.query, self.database, root=root, shard_count=shard_count
+                )
+                assert reduced.project(names).rows == witnessed.rows
 
     def test_survivors_are_exactly_the_witnessed_tuples(self):
         """After the bottom-up pass, the root holds precisely the root
@@ -320,7 +324,7 @@ class TestReduceBottomUp:
             self.query, self.database, root=root
         )
         assert reduced is not None
-        full = YannakakisEvaluator().evaluate(
+        full = NaiveEvaluator().evaluate(
             ConjunctiveQuery(
                 tuple(self.query.atoms[root].variables()),
                 self.query.atoms,
@@ -348,10 +352,8 @@ class TestReduceBottomUp:
             lifted.query, lifted.database, root=root
         )
         decisions = lifted.decide_members(reduced)
-        sequential = QueryEngine(parallel=False)
-        assert decisions == [
-            sequential.decide(member, self.database) for member in members
-        ]
+        naive = NaiveEvaluator()
+        assert decisions == [naive.decide(member, self.database) for member in members]
 
     def test_globally_empty_returns_none(self):
         empty_db = Database(

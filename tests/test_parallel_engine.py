@@ -1,8 +1,9 @@
 """The parallel execution layer behind the engine facade.
 
-Dispatch through sharded executors, N-wide batch lifting, the per-shape
-stats ledger, and cost-model feedback must all be invisible at the API:
-every result equals what the sequential PR 2 engine returns.
+Sharded dispatch, N-wide batch lifting, the per-shape stats ledger, and
+cost-model feedback must all be invisible at the API: every result equals
+the naive backtracking evaluator's, an algorithm independent of the
+Yannakakis passes under test.
 """
 
 import random
@@ -13,11 +14,7 @@ from repro import Database, DatalogEvaluator, NaiveEvaluator, QueryEngine
 from repro.engine import Planner
 from repro.evaluation import YannakakisEvaluator
 from repro.operations import EXECUTE, operations_of
-from repro.parallel import (
-    ParallelYannakakisEvaluator,
-    WorkerPool,
-    lift_batch_group,
-)
+from repro.parallel import WorkerPool, lift_batch_group
 from repro.query.parser import parse_program, parse_query
 from repro.workloads import (
     chain_database,
@@ -36,6 +33,11 @@ def sharding_engine(**kwargs) -> QueryEngine:
     return QueryEngine(
         planner=Planner(shard_threshold_rows=1, shard_count=4), **kwargs
     )
+
+
+def naive_answers(batch, database):
+    naive = NaiveEvaluator()
+    return [naive.evaluate(query, database) for query in batch]
 
 
 @pytest.fixture
@@ -61,24 +63,25 @@ class TestParallelDispatch:
         text = engine.explain(path_query(4, head_arity=1), database)
         assert "sharding : off" in text
 
-    def test_parallel_execution_matches_sequential(self, big_chain):
+    def test_sharded_execution_matches_naive(self, big_chain):
         query = path_query(4, head_arity=2)
         parallel = sharding_engine()
-        sequential = QueryEngine(parallel=False)
-        assert parallel.execute(query, big_chain) == sequential.execute(
+        naive = NaiveEvaluator()
+        assert parallel.execute(query, big_chain) == naive.evaluate(
             query, big_chain
         )
-        assert parallel.decide(query, big_chain) == sequential.decide(
-            query, big_chain
-        )
+        assert parallel.decide(query, big_chain) == naive.decide(query, big_chain)
 
     def test_star_query_parallel_matches(self):
         query = star_query(5)
         database = star_database(5, 64, seed=3)
         parallel = sharding_engine()
-        assert parallel.execute(query, database) == QueryEngine(
-            parallel=False
-        ).execute(query, database)
+        # The naive search would enumerate 32^5 leaf choices per hub; the
+        # answer is, independently, the hubs every arm relation mentions.
+        hubs = frozenset.intersection(
+            *(database[f"A{i}"].column(f"A{i}.0") for i in range(1, 6))
+        )
+        assert parallel.execute(query, database).rows == {(hub,) for hub in hubs}
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_acyclic_agreement(self, seed):
@@ -93,18 +96,20 @@ class TestParallelDispatch:
             RelationSchema(atom.relation, atom.arity) for atom in query.atoms
         )
         database = random_database(schema, 12, 80, seed=seed)
-        evaluator = ParallelYannakakisEvaluator(shard_count=3, min_shard_rows=1)
-        reference = YannakakisEvaluator()
-        assert evaluator.evaluate(query, database) == reference.evaluate(
-            query, database
+        # Two nominal workers on a serial pool: the sharded kernels run,
+        # inline and deterministically.
+        evaluator = YannakakisEvaluator(pool=WorkerPool(max_workers=2, mode="serial"))
+        reference = NaiveEvaluator()
+        assert evaluator.evaluate(query, database, shard_count=3) == (
+            reference.evaluate(query, database)
         )
-        assert evaluator.decide(query, database) == reference.decide(
-            query, database
+        assert evaluator.decide(query, database, shard_count=3) == (
+            reference.decide(query, database)
         )
 
     def test_pool_modes_agree(self, big_chain):
         query = path_query(4, head_arity=1)
-        expected = QueryEngine(parallel=False).execute(query, big_chain)
+        expected = NaiveEvaluator().evaluate(query, big_chain)
         for kwargs in (
             {"max_workers": 1},
             {"max_workers": 3, "pool_mode": "threads"},
@@ -131,37 +136,37 @@ class TestBatchLifting:
     def test_lifted_batch_matches_per_member(self, big_chain):
         batch = self.make_batch(big_chain, 32)
         wide = QueryEngine()
-        sequential = QueryEngine(parallel=False)
-        assert wide.run_batch(operations_of(EXECUTE, batch), big_chain) == sequential.run_batch(operations_of(EXECUTE, batch), big_chain
+        assert wide.run_batch(operations_of(EXECUTE, batch), big_chain) == (
+            naive_answers(batch, big_chain)
         )
 
     def test_small_groups_skip_lifting(self, big_chain):
         batch = self.make_batch(big_chain, 3)
-        assert QueryEngine(batch_wide_threshold=8).run_batch(operations_of(EXECUTE, batch), big_chain
-        ) == QueryEngine(parallel=False).run_batch(operations_of(EXECUTE, batch), big_chain)
+        assert QueryEngine(batch_wide_threshold=8).run_batch(
+            operations_of(EXECUTE, batch), big_chain
+        ) == naive_answers(batch, big_chain)
 
     def test_mixed_shape_batch_preserves_order(self, big_chain):
         batch = self.make_batch(big_chain, 12)
         batch.insert(0, path_query(3, head_arity=1))
         batch.append(path_query(2, head_arity=2))
         wide = QueryEngine().run_batch(operations_of(EXECUTE, batch), big_chain)
-        sequential = QueryEngine(parallel=False).run_batch(operations_of(EXECUTE, batch), big_chain)
-        assert wide == sequential
+        assert wide == naive_answers(batch, big_chain)
 
     def test_identical_members_share_one_execution(self, big_chain):
         query = path_query(4, head_arity=1)
         batch = [query] * 10
         results = QueryEngine().run_batch(operations_of(EXECUTE, batch), big_chain)
         assert all(result == results[0] for result in results)
-        assert results[0] == QueryEngine(parallel=False).execute(query, big_chain)
+        assert results[0] == NaiveEvaluator().evaluate(query, big_chain)
 
     def test_inequality_members_fall_back(self, big_chain):
         query = path_neq_query(3, 2, seed=1)
         starts = sorted({row[0] for row in big_chain["E"].rows})[:10]
         batch = [query.decision_instance((value,)) for value in starts]
-        assert QueryEngine().run_batch(operations_of(EXECUTE, batch), big_chain) == QueryEngine(
-            parallel=False
-        ).run_batch(operations_of(EXECUTE, batch), big_chain)
+        assert QueryEngine().run_batch(
+            operations_of(EXECUTE, batch), big_chain
+        ) == naive_answers(batch, big_chain)
 
     def test_lift_declines_on_template_mismatch(self, big_chain):
         left = path_query(3, head_arity=1).decision_instance((0,))
@@ -176,9 +181,9 @@ class TestBatchLifting:
         query = path_query(3, head_arity=2)
         rows = sorted(big_chain["E"].rows)[:12]
         batch = [query.decision_instance(row) for row in rows]
-        assert QueryEngine().run_batch(operations_of(EXECUTE, batch), big_chain) == QueryEngine(
-            parallel=False
-        ).run_batch(operations_of(EXECUTE, batch), big_chain)
+        assert QueryEngine().run_batch(
+            operations_of(EXECUTE, batch), big_chain
+        ) == naive_answers(batch, big_chain)
 
 
 class TestObservability:
@@ -330,13 +335,11 @@ class TestWorkerPool:
             }
         )
         with WorkerPool(max_workers=2, mode="threads") as pool:
-            evaluator = ParallelYannakakisEvaluator(
-                pool=pool, shard_count=2, min_shard_rows=1
-            )
+            evaluator = YannakakisEvaluator(pool=pool)
             done = {}
 
             def drive():
-                done["result"] = evaluator.evaluate(query, database)
+                done["result"] = evaluator.evaluate(query, database, shard_count=2)
 
             import threading
 
@@ -344,4 +347,9 @@ class TestWorkerPool:
             worker.start()
             worker.join(timeout=60)
             assert "result" in done, "parallel Yannakakis deadlocked"
-            assert done["result"] == YannakakisEvaluator().evaluate(query, database)
+            # Independently: x survives iff R(x, y) meets T on y and
+            # S(x, z) meets U on z.
+            left = database["R"].semijoin(database["T"].rename({"T.0": "R.1"}))
+            right = database["S"].semijoin(database["U"].rename({"U.0": "S.1"}))
+            expected = left.column("R.0") & right.column("S.0")
+            assert done["result"].rows == {(x,) for x in expected}

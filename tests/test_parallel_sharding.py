@@ -181,6 +181,16 @@ class TestDrivers:
         for count in (2, 5):
             assert parallel_select_eq(relation, multi, count) == expected_multi
 
+    def test_cold_one_shard_semijoin_builds_no_index(self):
+        """Regression: a one-shard semijoin of a freshly built relation
+        (a treewidth bag, a reducer intermediate) takes the kernel's
+        row-scan semijoin instead of building a bucket index it will
+        never reuse."""
+        left = rel(("x", "y"), {(i, i % 5) for i in range(60)})
+        right = rel(("y", "z"), {(i % 3, i) for i in range(20)})
+        assert parallel_semijoin(left, right, 1) == left.semijoin(right)
+        assert left._indexes == {}
+
     @SETTINGS
     @given(rows2, rows2)
     def test_bucket_semijoin_matches_kernel(self, left_rows, right_rows):

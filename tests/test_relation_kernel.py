@@ -236,7 +236,9 @@ class TestYannakakisFusedPass:
         from repro.workloads import chain_database, path_query
 
         db = chain_database(layers=4, width=6, p=0.4, seed=9)
-        query = path_query(3, head_arity=2)
+        # A full head: the upward edges carry head columns, so they are
+        # joins, not semijoins, and the join algorithm actually runs.
+        query = path_query(3, head_arity=4)
         fused = YannakakisEvaluator().evaluate(query, db)
         unfused = YannakakisEvaluator(
             join_algorithm=sort_merge_join
