@@ -1,22 +1,18 @@
-"""PARALLEL — the sharded execution layer vs one-shard execution.
+"""PARALLEL — one-shard acyclic execution, batch lifting, pool fan-out.
 
-One Yannakakis evaluator serves every plan; the planner only chooses its
-shard count.  The claims measured here:
+Every query runs as one shard; the worker pool only fans out *across*
+queries (batch members, service dispatch).  The claims measured here:
 
-* on large acyclic workloads, the planner-sharded engine (hash-sharded,
-  bucket-centric semijoin passes; worker fan-out when cores exist) answers
-  exactly as the same engine held to one shard.  Its timings are reported,
-  not asserted: whether sharding pays depends on the cores and pool mode
-  (the ``--assert-multicore`` comparison below is that measurement);
+* on large acyclic workloads, the engine answers exactly as a
+  ``parallel=False`` engine does; its execute and decide timings are
+  reported (and gated by the regression check), not asserted;
 * a ≥32-member same-shape batch through ``run_batch`` runs ≥2× faster
   than per-member execution on a ``parallel=False`` engine (N-wide lifting
   through a parameter relation);
-* on small inputs the planner keeps sharding off, and the worker pool
-  costs single-query latency nothing.
+* on small inputs the worker pool costs single-query latency nothing.
 
-Every side runs through ``QueryEngine``; the one-shard side is an engine
-whose planner's shard threshold no input reaches.  Result equality is
-asserted for every workload.
+Every side runs through ``QueryEngine``.  Result equality is asserted for
+every workload.
 
 Usage::
 
@@ -29,9 +25,9 @@ the machine-readable report (``BENCH_parallel_sharded.json`` by default in
 full mode).
 
 The multicore CI job adds ``--assert-multicore --max-workers $(nproc)``:
-that runs an extra serial-vs-threads-vs-processes comparison of the
-largest workload and asserts the best real pool beats serial execution —
-the ROADMAP's multicore fan-out measurement, meaningless on the 1-CPU dev
+that runs an extra serial-vs-threads-vs-processes comparison on
+compute-bound tasks and asserts the best real pool beats serial execution —
+the ROADMAP's multicore fan-out measurement, meaningless on a 1-CPU
 container (where every pool collapses to serial) and therefore kept out
 of the committed baseline and the regression gate.
 """
@@ -43,7 +39,6 @@ import sys
 from typing import Any, Dict, List, Optional
 
 from repro import NaiveEvaluator, QueryEngine
-from repro.engine import Planner
 from repro.benchlib import (
     add_json_argument,
     emit_json_report,
@@ -59,7 +54,7 @@ from repro.workloads import chain_database, path_query, star_database, star_quer
 
 
 def acyclic_workloads() -> List[Dict[str, Any]]:
-    """Large acyclic instances: inputs over the planner's shard threshold."""
+    """Large acyclic instances (thousands to hundreds of thousands of rows)."""
     return [
         {
             "name": "path4_dense_w64",
@@ -79,54 +74,35 @@ def acyclic_workloads() -> List[Dict[str, Any]]:
     ]
 
 
-def one_shard_engine() -> QueryEngine:
-    """An engine whose planner never shards (no input reaches the threshold)."""
-    return QueryEngine(planner=Planner(shard_threshold_rows=sys.maxsize))
-
-
 def run_acyclic(repeats: int) -> List[Dict[str, Any]]:
-    """One-shard vs planner-sharded engine on each large acyclic workload."""
+    """The pool-owning engine on each large acyclic workload."""
     records: List[Dict[str, Any]] = []
     for item in acyclic_workloads():
         query, database = item["query"], item["database"]
-        one_shard = one_shard_engine()
-        sharded = QueryEngine()
-        # Warm both engines (plan caches, kernel indexes, shard partitions)
-        # and pin result equality before timing.
-        assert one_shard.execute(query, database) == sharded.execute(
-            query, database
-        ), item["name"]
-        assert one_shard.decide(query, database) == sharded.decide(
-            query, database
-        ), item["name"]
-        assert one_shard.plan_for(query, database).shard_count == 1
+        engine = QueryEngine()
+        # Warm the engine (plan cache, kernel indexes) and pin result
+        # equality with a pool-less engine before timing.
+        with QueryEngine(parallel=False) as reference:
+            assert engine.execute(query, database) == reference.execute(
+                query, database
+            ), item["name"]
+            assert engine.decide(query, database) == reference.decide(
+                query, database
+            ), item["name"]
 
-        one_exec, _ = time_thunk(
-            lambda: one_shard.execute(query, database), repeats=repeats
+        execute, _ = time_thunk(
+            lambda: engine.execute(query, database), repeats=repeats
         )
-        sharded_exec, _ = time_thunk(
-            lambda: sharded.execute(query, database), repeats=repeats
-        )
-        one_decide, _ = time_thunk(
-            lambda: one_shard.decide(query, database), repeats=repeats
-        )
-        sharded_decide, _ = time_thunk(
-            lambda: sharded.decide(query, database), repeats=repeats
-        )
-        plan = sharded.plan_for(query, database)
+        decide, _ = time_thunk(lambda: engine.decide(query, database), repeats=repeats)
+        engine.close()
         records.append(
             {
                 "name": item["name"],
                 "input_rows": sum(
                     database[name].cardinality for name in database.names()
                 ),
-                "shard_count": plan.shard_count,
-                "one_shard_execute_seconds": one_exec,
-                "sharded_execute_seconds": sharded_exec,
-                "execute_speedup": round(speedup(one_exec, sharded_exec), 2),
-                "one_shard_decide_seconds": one_decide,
-                "sharded_decide_seconds": sharded_decide,
-                "decide_speedup": round(speedup(one_decide, sharded_decide), 2),
+                "one_shard_execute_seconds": execute,
+                "one_shard_decide_seconds": decide,
             }
         )
     return records
@@ -185,12 +161,11 @@ def run_pool_modes(
 ) -> Dict[str, Any]:
     """Serial vs thread-pool vs process-pool on compute-bound tasks.
 
-    The ROADMAP's multicore fan-out measurement.  The committed sharded
-    numbers come from bucket-level kernel work; what real cores add is
+    The ROADMAP's multicore fan-out measurement.  What real cores add is
     *task* parallelism, and for pure-Python search that means the process
     pool (threads stay interpreter-bound and are reported to show exactly
-    that).  Only meaningful with > 1 core — on the 1-CPU dev container
-    every mode degrades to inline execution plus overhead.
+    that).  Only meaningful with > 1 core — on a 1-CPU container every
+    mode degrades to inline execution plus overhead.
     """
     workers = max_workers or default_worker_count()
     expected = [False] * len(_POOL_MODE_SEEDS)
@@ -220,13 +195,12 @@ def run_pool_modes(
 
 
 def run_small_no_regression(repeats: int) -> Dict[str, Any]:
-    """A small workload: sharding stays off and the pool costs nothing."""
+    """A small workload: the worker pool costs a single query nothing."""
     database = chain_database(layers=5, width=16, p=0.25, seed=3)
     query = path_query(4, head_arity=1)
     sequential = QueryEngine(parallel=False)
     parallel = QueryEngine()
     assert sequential.execute(query, database) == parallel.execute(query, database)
-    plan = parallel.plan_for(query, database)
 
     seq_seconds, _ = time_thunk(
         lambda: sequential.execute(query, database), repeats=repeats
@@ -235,7 +209,6 @@ def run_small_no_regression(repeats: int) -> Dict[str, Any]:
         lambda: parallel.execute(query, database), repeats=repeats
     )
     return {
-        "shard_count": plan.shard_count,
         "sequential_execute_seconds": seq_seconds,
         "parallel_execute_seconds": par_seconds,
         "parallel_over_sequential": round(
@@ -279,35 +252,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
 
     print_table(
-        (
-            "workload",
-            "rows",
-            "shards",
-            "1-shard exec s",
-            "sharded exec s",
-            "exec ×",
-            "1-shard decide s",
-            "sharded decide s",
-            "decide ×",
-        ),
+        ("workload", "rows", "execute s", "decide s"),
         [
             (
                 r["name"],
                 r["input_rows"],
-                r["shard_count"],
                 r["one_shard_execute_seconds"],
-                r["sharded_execute_seconds"],
-                r["execute_speedup"],
                 r["one_shard_decide_seconds"],
-                r["sharded_decide_seconds"],
-                r["decide_speedup"],
             )
             for r in acyclic
         ],
-        title=(
-            "Planner-sharded engine vs one-shard engine "
-            f"(best of {repeats}, {default_worker_count()} worker(s))"
-        ),
+        title=f"One-shard engine on large acyclic inputs (best of {repeats})",
     )
     print_table(
         ("batch size", "sequential s", "N-wide s", "speedup"),
@@ -319,19 +274,18 @@ def main(argv: Optional[List[str]] = None) -> int:
                 batch["batch_speedup"],
             )
         ],
-        title="execute_batch: N-wide lifted execution vs per-member",
+        title="run_batch: N-wide lifted execution vs per-member",
     )
     print_table(
-        ("shards", "sequential s", "parallel s", "par/seq"),
+        ("sequential s", "parallel s", "par/seq"),
         [
             (
-                small["shard_count"],
                 small["sequential_execute_seconds"],
                 small["parallel_execute_seconds"],
                 small["parallel_over_sequential"],
             )
         ],
-        title="Small inputs: sharding off, pool vs parallel=False",
+        title="Small inputs: pool-owning engine vs parallel=False",
     )
 
     if pool_modes is not None:
@@ -364,7 +318,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if not args.smoke:
         assert batch["batch_speedup"] >= 2.0, batch
-        assert small["shard_count"] == 1, small
         assert small["parallel_over_sequential"] <= 1.5, small
     if pool_modes is not None:
         # The multicore claim: with real cores, the best real pool beats
@@ -391,9 +344,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     if pool_modes is not None:
         # Only present under --assert-multicore, which the bench-gate job
-        # never passes: the committed baseline comes from a 1-CPU
-        # container where pool-mode timings are meaningless, so these
-        # leaves must never reach the regression comparison.
+        # never passes: pool-mode timings depend on the runner's cores,
+        # so these leaves must never reach the regression comparison.
         sections["pool_modes"] = pool_modes
     payload = json_report_payload(
         "parallel_sharded",

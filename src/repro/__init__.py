@@ -39,9 +39,7 @@ from .query import (
     parse_program,
     parse_query,
 )
-# repro.parallel before repro.evaluation: the parallel package re-exports
-# the Yannakakis evaluator, whose module imports the parallel kernels.
-from .parallel import ShardedRelation, WorkerPool
+from .parallel import ParallelYannakakisEvaluator, WorkerPool
 from .evaluation import (
     CountingYannakakisEvaluator,
     DatalogEvaluator,
@@ -58,9 +56,6 @@ from .resilience import CancelToken, FaultPlan, RetryPolicy
 from .service import QueryService, ServiceStats
 from .protocol import AsyncQueryClient, QueryClient, QueryServer
 from .fleet import FleetRouter, FleetSupervisor
-
-# An alias kept for the benchmark harness (perfbench/), which imports it.
-ParallelYannakakisEvaluator = YannakakisEvaluator
 
 __version__ = "1.0.0"
 
@@ -111,7 +106,6 @@ __all__ = [
     "ReproError",
     "Rule",
     "SchemaError",
-    "ShardedRelation",
     "SqlBackend",
     "SqlCompilationError",
     "SqliteBackend",

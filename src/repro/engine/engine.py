@@ -8,20 +8,17 @@ and instead say ``engine.execute(query, database)``.  Internally:
 1. the *analyzer* classifies the query's structure (acyclic / bounded
    treewidth / bounded variables / general — the paper's tractability map);
 2. the *planner* turns the analysis plus kernel statistics into an
-   explainable :class:`QueryPlan`, including the sharding decision for the
-   parallel execution layer;
+   explainable :class:`QueryPlan`;
 3. the *plan cache* (LRU, keyed on query shape + schema) lets repeated and
    parameterized queries skip both steps — every constant binding of one
    prepared shape reuses the same plan;
 4. the *executor* dispatches to the chosen evaluator.  Acyclic plans run
-   through the one Yannakakis evaluator at the plan's shard count; sharded
-   plans use co-partitioned hash shards, bucket-centric semijoin kernels
-   (``repro.parallel``), and a worker pool (threads by default, processes
-   optionally, inline on one core);
+   through the one Yannakakis evaluator, every query as one shard;
 5. ``run_batch`` groups same-shape operations under one plan and — for
    large constant-variant groups — *lifts* the group into a single N-wide
    execution through a parameter relation, falling back to per-member
-   execution fanned across the pool.
+   execution fanned across the worker pool (threads by default; inline on
+   one core, and in serial or process mode).
 
 After every planned execution the engine records the actual result
 cardinality on the plan (``QueryPlan.runtime``) and feeds a bounded
@@ -31,8 +28,8 @@ hit/miss counters.  When the observed cardinality drifts ≥
 *re-plans* the shape with the observation as corrected statistics
 (adaptive re-planning — the second half of the cost-model feedback loop);
 re-plan events surface in ``explain`` and ``stats()``.  ``explain``
-returns the plan rendering (with cache status, sharding decision, and
-estimate-vs-actual feedback) without executing anything; passing
+returns the plan rendering (with cache status and estimate-vs-actual
+feedback) without executing anything; passing
 ``evaluator=...`` to ``execute``/``decide`` forces a specific engine,
 which keeps the benchmark suite on a single code path even where a fixed
 evaluator is the point of the measurement.
@@ -143,7 +140,7 @@ class QueryEngine:
     parallel:
         Own a worker pool and lift large same-shape batches.  ``False``
         runs every task inline and every batch member by member; the
-        evaluators and plans (shard counts included) are the same.
+        evaluators and plans are the same.
     max_workers:
         Worker budget for the pool (defaults to the CPU count; 1 runs
         every task inline).
@@ -202,7 +199,7 @@ class QueryEngine:
             WorkerPool(max_workers, pool_mode) if parallel else None
         )
         self._naive = NaiveEvaluator()
-        self._yannakakis = YannakakisEvaluator(pool=self._pool)
+        self._yannakakis = YannakakisEvaluator()
         self._treewidth = TreewidthEvaluator()
         self._inequality = AcyclicInequalityEvaluator()
         self._backend = backend
@@ -473,11 +470,7 @@ class QueryEngine:
             reusable = plan.analysis.variable_layout == variable_layout(query)
             tree = plan.analysis.join_tree if reusable else None
             return self._counting.count(
-                query,
-                database,
-                join_tree=tree,
-                mode=mode,
-                shard_count=plan.shard_count,
+                query, database, join_tree=tree, mode=mode
             ).total
         # Hard modes (uncovered projection, cyclic core, constraints):
         # evaluate through the plan's evaluator and read the cardinality.
@@ -497,12 +490,7 @@ class QueryEngine:
             reusable = plan.analysis.variable_layout == variable_layout(query)
             tree = plan.analysis.join_tree if reusable else None
             fast = self._counting.grouped_count(
-                query,
-                database,
-                group_by,
-                join_tree=tree,
-                mode=mode,
-                shard_count=plan.shard_count,
+                query, database, group_by, join_tree=tree, mode=mode
             )
             if fast is not None:
                 return fast
@@ -662,11 +650,7 @@ class QueryEngine:
         root = len(lifted.query.atoms) - 1  # the parameter atom
         start = perf_counter()
         reduced = self._yannakakis.reduce_bottom_up(
-            lifted.query,
-            lifted.database,
-            join_tree=tree,
-            root=root,
-            shard_count=plan.shard_count,
+            lifted.query, lifted.database, join_tree=tree, root=root
         )
         decisions = lifted.decide_members(reduced)
         self._record(
@@ -702,14 +686,11 @@ class QueryEngine:
             # Reuse the plan's join tree: a cache hit must not pay for the
             # GYO reduction again.
             tree = plan.analysis.join_tree if reusable else None
-            shards = plan.shard_count if plan is not None else 1
             engine = self._yannakakis
             return (
-                engine.decide(query, database, join_tree=tree, shard_count=shards)
+                engine.decide(query, database, join_tree=tree)
                 if decide
-                else engine.evaluate(
-                    query, database, join_tree=tree, shard_count=shards
-                )
+                else engine.evaluate(query, database, join_tree=tree)
             )
         if evaluator == TREEWIDTH:
             decomposition = plan.analysis.decomposition if reusable else None
@@ -842,8 +823,8 @@ class QueryEngine:
         """The engine's worker pool (``None`` when ``parallel=False``).
 
         The async service front-end (:mod:`repro.service`) feeds its
-        request queue into this pool so service dispatch and sharded
-        execution share one worker budget.
+        request queue into this pool so service dispatch and batch
+        fan-out share one worker budget.
         """
         return self._pool
 
@@ -857,7 +838,7 @@ class QueryEngine:
 
     def close(self) -> None:
         """Shut the worker pool down (idempotent; the engine stays usable —
-        a closed pool restarts lazily on the next sharded execution)."""
+        a closed pool restarts lazily on the next fan-out)."""
         if self._pool is not None:
             self._pool.close()
 

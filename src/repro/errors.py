@@ -132,8 +132,8 @@ class ServerBusyError(RequestRejectedError):
 class DeadlineExceededError(RequestRejectedError):
     """A request's deadline expired before its evaluation finished.
 
-    Raised at the next cooperative check-point of the evaluators (level
-    boundaries, shard-map steps) once the request's
+    Raised at the next cooperative check-point of the evaluators (engine
+    dispatch, every semijoin of the acyclic passes) once the request's
     :class:`~repro.resilience.CancelToken` deadline passes, and by the
     service-side waiter when the engine has not answered in time.  Maps
     to the wire code ``deadline_exceeded``; carries the original budget

@@ -31,12 +31,6 @@ star size), cyclic cores, constraint atoms — is #P-hard in general
 (Chen–Mengel's trichotomy); the engine falls back to evaluation plus a
 cardinality read for those.  Classification lives in
 :func:`repro.engine.analysis.counting_mode`.
-
-Sharding merges associatively: hash-partitioning a relation on the
-counted key positions means no key spans two shards, so per-shard
-distinct counts (covered) and per-shard annotation sums (full) add up
-exactly.  :class:`CountResult` exposes the partials so tests can pin the
-merge.
 """
 
 from __future__ import annotations
@@ -55,11 +49,10 @@ from .yannakakis import YannakakisEvaluator
 
 
 class CountResult(NamedTuple):
-    """A count plus the per-shard partials that merged into it."""
+    """A count plus the counting mode that produced it."""
 
     total: int
     mode: str
-    partials: Tuple[int, ...]
 
 
 def _head_variable_names(query: ConjunctiveQuery) -> Tuple[str, ...]:
@@ -75,9 +68,8 @@ class CountingYannakakisEvaluator:
     """Multiplicity-annotated Yannakakis counting for acyclic queries.
 
     The reducer is a :class:`~repro.evaluation.yannakakis.YannakakisEvaluator`
-    (the engine passes its own, pool included); every reducer pass runs at
-    the caller's ``shard_count``, so the reduction phase shards for free
-    and only the linear fold stays sequential.
+    (the engine passes its own); the count is its upward pass plus one
+    linear fold.
     """
 
     def __init__(self, reducer: Optional[YannakakisEvaluator] = None) -> None:
@@ -91,16 +83,12 @@ class CountingYannakakisEvaluator:
         database: Database,
         join_tree: Optional[JoinTree] = None,
         mode: Optional[str] = None,
-        shard_count: int = 1,
     ) -> CountResult:
         """``|Q(d)|`` for the fast counting modes.
 
         *mode* is the precomputed :func:`~repro.engine.analysis.counting_mode`
         (recomputed here when absent); raises :class:`QueryError` on the
         hard modes — the caller owns the evaluate-then-count fallback.
-        *shard_count* > 1 shards the reducer passes and splits the final
-        count into hash-disjoint partials merged by addition (see
-        :class:`CountResult`).
         """
         from ..engine.analysis import (  # local import: engine imports us
             ACYCLIC,
@@ -124,15 +112,12 @@ class CountingYannakakisEvaluator:
             )
 
         if mode == COUNT_BOOLEAN:
-            reduced = self._reducer.reduce_bottom_up(
-                query, database, join_tree, shard_count=shard_count
-            )
-            nonempty = reduced is not None
-            return CountResult(int(nonempty), mode, (int(nonempty),))
+            reduced = self._reducer.reduce_bottom_up(query, database, join_tree)
+            return CountResult(int(reduced is not None), mode)
 
         prepared = self._reducer._prepare(query, database, join_tree)
         if prepared is None:
-            return CountResult(0, mode, (0,) * max(1, shard_count))
+            return CountResult(0, mode)
         relations, tree = prepared
 
         # Both fast modes read only root-side state, so the upward half of
@@ -144,15 +129,14 @@ class CountingYannakakisEvaluator:
             assert node is not None
             if node != tree.root:
                 tree = tree.rooted_at(node)
-            reduced = self._reducer.bottom_up_reduction(relations, tree, shard_count)
-            return self._count_covered(query, reduced[node], shard_count)
+            reduced = self._reducer.bottom_up_reduction(relations, tree)
+            return CountResult(self._count_covered(query, reduced[node]), mode)
 
-        reduced = self._reducer.bottom_up_reduction(relations, tree, shard_count)
+        reduced = self._reducer.bottom_up_reduction(relations, tree)
         if reduced[tree.root].is_empty():
-            return CountResult(0, mode, (0,) * max(1, shard_count))
+            return CountResult(0, mode)
         annotations = self._annotate(reduced, tree)
-        partials = _hash_partials(annotations, shard_count)
-        return CountResult(sum(partials), COUNT_FULL, partials)
+        return CountResult(sum(annotations.values()), COUNT_FULL)
 
     def grouped_count(
         self,
@@ -161,14 +145,12 @@ class CountingYannakakisEvaluator:
         group_by: Sequence[str],
         join_tree: Optional[JoinTree] = None,
         mode: Optional[str] = None,
-        shard_count: int = 1,
     ) -> Optional[Relation]:
         """Per-group answer counts over the *group_by* head variables.
 
         Returns a relation over ``group_by + (count column,)`` — one row
         per occupied group — or ``None`` when no fast path applies (the
         caller then materializes and uses :func:`grouped_count_reference`).
-        *shard_count* shards the reducer passes, as in :meth:`count`.
         """
         from ..engine.analysis import (
             COUNT_COVERED,
@@ -202,7 +184,7 @@ class CountingYannakakisEvaluator:
             assert node is not None
             if node != tree.root:
                 tree = tree.rooted_at(node)
-            reduced = self._reducer.bottom_up_reduction(relations, tree, shard_count)
+            reduced = self._reducer.bottom_up_reduction(relations, tree)
             distinct = self._distinct_head(query, reduced[node])
             counts: Dict[Tuple, int] = {}
             positions = tuple(head_names.index(name) for name in group)
@@ -224,7 +206,7 @@ class CountingYannakakisEvaluator:
             return None
         if root != tree.root:
             tree = tree.rooted_at(root)
-        reduced = self._reducer.bottom_up_reduction(relations, tree, shard_count)
+        reduced = self._reducer.bottom_up_reduction(relations, tree)
         if reduced[tree.root].is_empty():
             return _group_relation(group, {})
         annotations = self._annotate(reduced, tree)
@@ -238,26 +220,13 @@ class CountingYannakakisEvaluator:
 
     # ------------------------------------------------------------------
 
-    def _count_covered(
-        self, query: ConjunctiveQuery, reduced: Relation, shard_count: int
-    ) -> CountResult:
-        """Distinct-key count of the covering atom's reduced relation.
-
-        With ``shard_count > 1`` the relation is hash-partitioned on the
-        head positions first: no key spans two shards, so the per-shard
-        distinct counts sum exactly — the same merge the sharded semijoin
-        kernels perform across workers.
-        """
-        from ..engine.analysis import COUNT_COVERED
-
+    def _count_covered(self, query: ConjunctiveQuery, reduced: Relation) -> int:
+        """Distinct-key count of the covering atom's reduced relation."""
+        if reduced.is_empty():
+            return 0
         head_names = _head_variable_names(query)
         positions = tuple(reduced.attributes.index(name) for name in head_names)
-        if shard_count <= 1 or reduced.cardinality == 0:
-            total = len(reduced._index(positions)) if reduced.cardinality else 0
-            return CountResult(total, COUNT_COVERED, (total,))
-        shards = reduced._partition(positions, shard_count)
-        partials = tuple(len(shard._index(positions)) for shard in shards)
-        return CountResult(sum(partials), COUNT_COVERED, partials)
+        return len(reduced._index(positions))
 
     def _distinct_head(
         self, query: ConjunctiveQuery, reduced: Relation
@@ -369,18 +338,6 @@ def _group_relation(group: Tuple[str, ...], counts: Dict[Tuple, int]) -> Relatio
     attributes = group + (_count_attribute(group),)
     rows = frozenset(key + (n,) for key, n in counts.items())
     return Relation._from_frozen(attributes, rows)
-
-
-def _hash_partials(
-    annotations: Dict[Tuple, int], shard_count: int
-) -> Tuple[int, ...]:
-    """Split an annotation sum into hash-disjoint per-shard partials."""
-    if shard_count <= 1:
-        return (sum(annotations.values()),)
-    partials = [0] * shard_count
-    for row, annotation in annotations.items():
-        partials[hash(row) % shard_count] += annotation
-    return tuple(partials)
 
 
 def grouped_count_reference(

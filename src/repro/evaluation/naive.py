@@ -29,7 +29,6 @@ from ..query.conjunctive import ConjunctiveQuery
 from ..query.terms import Constant, Variable
 from ..relational.columns import values_equal
 from ..relational.database import Database
-from ..relational.index import IndexPool
 from ..relational.relation import Relation
 from ..resilience.token import check_cancelled
 from .instantiation import answers_relation
@@ -48,14 +47,11 @@ _Plan = Tuple[
 class NaiveEvaluator:
     """Backtracking join evaluation with index probing and constraint checks.
 
-    The evaluator is stateless between queries apart from its
-    :class:`IndexPool`, which pins the database relations it has probed;
-    the index buckets themselves are cached on the (immutable) relations,
-    so they are shared across evaluators and with the relational algebra.
+    The evaluator is stateless between queries and holds no reference to
+    the relations it has probed: the index buckets are cached on the
+    (immutable) relations themselves, so they are shared across evaluators
+    and with the relational algebra, and die with their relations.
     """
-
-    def __init__(self) -> None:
-        self._pool = IndexPool()
 
     # ------------------------------------------------------------------
     # Public API
@@ -194,7 +190,6 @@ class NaiveEvaluator:
                 else:
                     first_seen[term] = position
                     bindings.append((position, slot_of[term]))
-            self._pool.index(relation, key_positions)  # pin + warm the cache
             buckets = relation._index(tuple(key_positions))
             rows_for = _make_probe(buckets, key_parts, relation)
             checks = tuple(

@@ -17,8 +17,8 @@ with inequality or comparison atoms are rejected here — that is exactly the
 extension Theorem 2 (``repro.inequalities``) provides.
 
 Durand–Grandjean show acyclic queries are evaluable in essentially linear
-time; operationally the passes are *data-parallel*, and the evaluator is
-organised around that:
+time; the gain is the algorithm's, so every query runs as one shard, and
+the evaluator is organised around the passes themselves:
 
 * **head-aware rooting** — before the passes, the join tree is re-rooted at
   the node covering the most head variables (sound for any root: the join
@@ -30,25 +30,20 @@ organised around that:
   columns all exist in the parent (``keep ⊆ parent attributes``, the common
   case once the head sits at the root) *is* a semijoin, and runs as one;
 * **level scheduling** — tree edges are grouped by child depth; within a
-  level, edges are grouped by parent (a parent absorbs its children
-  sequentially, which is the semijoin chain) and, on sharded calls, the
-  per-parent groups fan out across the optional worker pool;
-* **sharded semijoins** — every semijoin runs through
-  :func:`repro.parallel.ops.parallel_semijoin` with the per-call
-  ``shard_count`` (1 unless the engine's plan says the inputs are large):
-  co-partitioned hash shards and bucket-centric kernels where the operands'
-  caches are warm or real workers exist, the kernel's row-scan semijoin
-  otherwise.
+  level, each parent absorbs its children in turn (the semijoin chain);
+* **kernel semijoins** — every semijoin is
+  :meth:`~repro.relational.relation.Relation.semijoin`, which walks the
+  probe side's index buckets when they are warm and probes key codes
+  otherwise.  A cancellation check-point precedes each one, so an expired
+  deadline aborts between any two semijoins.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..errors import QueryError
 from ..hypergraph.join_tree import JoinTree
-from ..parallel.ops import parallel_semijoin
-from ..parallel.pool import WorkerPool
 from ..query.conjunctive import ConjunctiveQuery
 from ..relational.database import Database
 from ..relational.joins import JoinAlgorithm, hash_join
@@ -67,18 +62,10 @@ class YannakakisEvaluator:
         The default hash join pushes the projection into the join
         (``Relation._join_keep``); any other algorithm gets the explicit
         project-then-join equivalent.
-    pool:
-        Worker pool for level fan-out and sharded semijoins (tasks run
-        inline when omitted).
     """
 
-    def __init__(
-        self,
-        join_algorithm: JoinAlgorithm = hash_join,
-        pool: Optional[WorkerPool] = None,
-    ) -> None:
+    def __init__(self, join_algorithm: JoinAlgorithm = hash_join) -> None:
         self._join = join_algorithm
-        self._pool = pool
 
     # ------------------------------------------------------------------
 
@@ -87,7 +74,6 @@ class YannakakisEvaluator:
         query: ConjunctiveQuery,
         database: Database,
         join_tree: Optional[JoinTree] = None,
-        shard_count: int = 1,
     ) -> bool:
         """Is Q(d) nonempty?  One bottom-up semijoin pass.
 
@@ -95,10 +81,7 @@ class YannakakisEvaluator:
         query hypergraph (the adaptive engine's cached plans carry one),
         skipping the GYO reduction.
         """
-        reduced = self.reduce_bottom_up(
-            query, database, join_tree, shard_count=shard_count
-        )
-        return reduced is not None
+        return self.reduce_bottom_up(query, database, join_tree) is not None
 
     def reduce_bottom_up(
         self,
@@ -106,7 +89,6 @@ class YannakakisEvaluator:
         database: Database,
         join_tree: Optional[JoinTree] = None,
         root: Optional[int] = None,
-        shard_count: int = 1,
     ) -> Optional[Relation]:
         """The root's candidate relation after one bottom-up semijoin pass.
 
@@ -125,12 +107,9 @@ class YannakakisEvaluator:
         relations, tree = prepared
         if root is not None and root != tree.root:
             tree = tree.rooted_at(root)
-        # Cancellation check-points: every semijoin (parallel_semijoin), so
-        # between any two of them no external state is held.
         for groups in tree.levels():
-            for (parent, _), result in zip(
-                groups, self._reduce_level(relations, groups, shard_count)
-            ):
+            for parent, children in groups:
+                result = _absorb(relations, parent, children)
                 if result.is_empty():
                     return None
                 relations[parent] = result
@@ -152,7 +131,6 @@ class YannakakisEvaluator:
         query: ConjunctiveQuery,
         database: Database,
         join_tree: Optional[JoinTree] = None,
-        shard_count: int = 1,
     ) -> Relation:
         """Q(d) in time polynomial in input + output (full Yannakakis)."""
         prepared = self._prepare(query, database, join_tree)
@@ -163,7 +141,7 @@ class YannakakisEvaluator:
         head_set = set(head_names)
         tree = _reroot_for_head(tree, head_set)
 
-        relations = self.full_reduction(relations, tree, shard_count)
+        relations = self.full_reduction(relations, tree)
         if relations[tree.root].is_empty():
             return answers_relation(query.head_terms, Relation.from_rows(head_names))
 
@@ -171,7 +149,6 @@ class YannakakisEvaluator:
         # plain setting): carry shared attributes plus output attributes.
         fused = self._join is hash_join
         for groups in tree.levels():
-            check_cancelled()
             for parent, children in groups:
                 for node in children:
                     parent_rel = relations[parent]
@@ -182,12 +159,11 @@ class YannakakisEvaluator:
                         for a in child_rel.attributes
                         if a in parent_vars or a in head_set
                     )
+                    check_cancelled()
                     if all(a in parent_vars for a in keep):
                         # keep ⊆ parent: the join adds no columns — it *is*
                         # a semijoin.
-                        relations[parent] = parallel_semijoin(
-                            parent_rel, child_rel, shard_count, self._pool
-                        )
+                        relations[parent] = parent_rel.semijoin(child_rel)
                     elif fused:
                         relations[parent] = parent_rel._join_keep(child_rel, keep)
                     else:
@@ -204,10 +180,7 @@ class YannakakisEvaluator:
     # ------------------------------------------------------------------
 
     def bottom_up_reduction(
-        self,
-        relations: Dict[int, Relation],
-        tree: JoinTree,
-        shard_count: int = 1,
+        self, relations: Dict[int, Relation], tree: JoinTree
     ) -> Dict[int, Relation]:
         """The upward half of the full reducer — one semijoin pass.
 
@@ -220,38 +193,26 @@ class YannakakisEvaluator:
         """
         reduced = dict(relations)
         for groups in tree.levels():
-            for (parent, _), result in zip(
-                groups, self._reduce_level(reduced, groups, shard_count)
-            ):
-                reduced[parent] = result
+            for parent, children in groups:
+                reduced[parent] = _absorb(reduced, parent, children)
         return reduced
 
     def full_reduction(
-        self,
-        relations: Dict[int, Relation],
-        tree: JoinTree,
-        shard_count: int = 1,
+        self, relations: Dict[int, Relation], tree: JoinTree
     ) -> Dict[int, Relation]:
         """Semijoin full reducer: bottom-up then top-down pass.
 
         Returns a new mapping in which the relations are globally
         consistent: P_u = π_{attrs(P_u)}(P_1 ⋈ ... ⋈ P_s).  The top-down
-        pass fans per-edge tasks out one level at a time (every child is
-        written exactly once).
+        pass walks the levels root first, so every child is reduced
+        against its already-reduced parent exactly once.
         """
-        reduced = self.bottom_up_reduction(relations, tree, shard_count)
+        reduced = self.bottom_up_reduction(relations, tree)
         for groups in reversed(tree.levels()):
-            edges = [(node, parent) for parent, children in groups for node in children]
-
-            def reduce_child(edge: Tuple[int, int]) -> Relation:
-                node, parent = edge
-                return parallel_semijoin(
-                    reduced[node], reduced[parent], shard_count, self._pool
-                )
-
-            results = self._fan_out(reduce_child, edges, shard_count)
-            for (node, _), result in zip(edges, results):
-                reduced[node] = result
+            for parent, children in groups:
+                for node in children:
+                    check_cancelled()
+                    reduced[node] = reduced[node].semijoin(reduced[parent])
         return reduced
 
     # ------------------------------------------------------------------
@@ -277,34 +238,17 @@ class YannakakisEvaluator:
             return None
         return relations, tree
 
-    def _reduce_level(
-        self,
-        relations: Dict[int, Relation],
-        groups: Sequence[Tuple[int, Tuple[int, ...]]],
-        shard_count: int,
-    ) -> List[Relation]:
-        """One bottom-up level: each parent's semijoin chain over its
-        children, the per-parent chains fanned across the pool.  Tasks only
-        read *relations*; the caller commits the returned results."""
 
-        def reduce_parent(group: Tuple[int, Tuple[int, ...]]) -> Relation:
-            parent, children = group
-            current = relations[parent]
-            for node in children:
-                current = parallel_semijoin(
-                    current, relations[node], shard_count, self._pool
-                )
-            return current
-
-        return self._fan_out(reduce_parent, groups, shard_count)
-
-    def _fan_out(self, fn, tasks, shard_count: int):
-        # Fan out only where the plan sharded: a one-shard plan's inputs
-        # are too small for thread hand-offs to pay.
-        pool = self._pool
-        if shard_count > 1 and pool is not None and pool.supports_closures:
-            return pool.map(fn, tasks)
-        return [fn(task) for task in tasks]
+def _absorb(
+    relations: Dict[int, Relation], parent: int, children: Sequence[int]
+) -> Relation:
+    """One bottom-up step: *parent*'s relation semijoined with each child's
+    in turn (the semijoin chain), a cancellation check-point before each."""
+    current = relations[parent]
+    for node in children:
+        check_cancelled()
+        current = current.semijoin(relations[node])
+    return current
 
 
 # ----------------------------------------------------------------------

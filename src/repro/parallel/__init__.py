@@ -1,50 +1,39 @@
-"""Sharded, parallel execution layer for the relational engines.
+"""Inter-query parallelism for the engine and the service.
 
-The tractable classes the paper maps out (acyclic, bounded treewidth,
-bounded variables) are exactly the queries whose evaluation cost is
-dominated by data access rather than combinatorics — which makes them
-partitionable.  This package provides:
+Every query runs as one shard: the acyclic passes gain from the algorithm
+(Yannakakis, Durand–Grandjean), not from splitting the data.  What stays
+parallel is the fan-out *across* queries.  This package provides:
 
-* :class:`ShardedRelation` — hash-partitioned relations with a
-  co-partitioning contract for traffic-free shard-by-shard joins;
-* shard-parallel operator drivers (:func:`parallel_semijoin`,
-  :func:`parallel_hash_join`, :func:`parallel_select_eq`) built on
-  bucket-centric per-shard kernels;
 * batch lifting (:func:`lift_batch_group`) — N-wide execution of
   same-shape query batches through a parameter relation;
-* :class:`WorkerPool` — serial / thread / process fan-out.
+* :class:`WorkerPool` — serial / thread / process fan-out for batch
+  members and service dispatch.
 
-See ``docs/parallel.md`` for the sharding scheme, the co-partitioning
-contract, and how the planner decides shard counts.
+See ``docs/parallel.md``.
 """
 
 from ..evaluation.yannakakis import YannakakisEvaluator
+from ..relational.joins import hash_join
 from .batch import LiftedBatch, lift_batch_group
-from .ops import (
-    DEFAULT_SHARD_COUNT,
-    bucket_semijoin,
-    parallel_hash_join,
-    parallel_select_eq,
-    parallel_semijoin,
-)
 from .pool import POOL_MODES, WorkerPool, default_worker_count
-from .sharding import ShardedRelation, shard_relation
 
-# An alias kept for the benchmark harness (perfbench/), which imports it.
-ParallelYannakakisEvaluator = YannakakisEvaluator
+
+class ParallelYannakakisEvaluator(YannakakisEvaluator):
+    """Compatibility shim for the benchmark harness (``perfbench/``): accepts
+    and ignores ``pool=`` and ``shard_count=``.  Remove when perfbench/ next changes."""
+
+    def __init__(self, join_algorithm=hash_join, pool=None) -> None:
+        super().__init__(join_algorithm)
+
+    def evaluate(self, query, database, join_tree=None, shard_count=1):
+        return super().evaluate(query, database, join_tree)
+
 
 __all__ = [
-    "DEFAULT_SHARD_COUNT",
     "LiftedBatch",
     "POOL_MODES",
     "ParallelYannakakisEvaluator",
-    "ShardedRelation",
     "WorkerPool",
-    "bucket_semijoin",
     "default_worker_count",
     "lift_batch_group",
-    "parallel_hash_join",
-    "parallel_select_eq",
-    "parallel_semijoin",
-    "shard_relation",
 ]

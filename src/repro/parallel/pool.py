@@ -1,29 +1,24 @@
-"""Worker pools for the sharded execution layer.
+"""Worker pools for inter-query fan-out.
 
-One small abstraction covers the three execution modes the parallel
-operators need:
+One small abstraction covers the three execution modes the engine's batch
+fan-out and the service's dispatch need:
 
 ``serial``
     Run tasks inline in the calling thread.  This is what a 1-worker pool
-    degrades to, and what single-core containers get by default — the
-    sharded kernels still win there through bucket-level work and shard
-    pruning, without paying any pool dispatch overhead.
+    degrades to, without paying any pool dispatch overhead.
 ``threads``
     A lazily created :class:`~concurrent.futures.ThreadPoolExecutor`.  The
-    default.  Plans, shards, and the kernel's per-relation index caches are
-    immutable once built, so shard tasks share them safely; CPython's
-    per-opcode atomicity makes the lazy index/partition cache fills benign
+    default.  Plans and the kernel's per-relation index caches are
+    immutable once built, so concurrent queries share them safely;
+    CPython's per-opcode atomicity makes the lazy cache fills benign
     (worst case a bucket map is built twice, both results identical).
 ``processes``
     A :class:`~concurrent.futures.ProcessPoolExecutor` for opt-in
     multi-process execution.  Tasks submitted through :meth:`WorkerPool.map`
-    must then be module-level functions with picklable arguments — every
-    driver in :mod:`repro.parallel.ops` and the executor's pass tasks
-    satisfy this.
+    must then be module-level functions with picklable arguments.
 
-The pool never spawns workers until a call actually fans out: tiny task
-lists run inline regardless of mode, so sharded operators on small inputs
-cost what their sequential counterparts do.
+The pool never spawns workers until a call actually fans out: task lists
+of length ≤ 1 run inline regardless of mode.
 
 Two resilience duties live here as well:
 
@@ -40,7 +35,7 @@ Two resilience duties live here as well:
   submitting thread's active :class:`~repro.resilience.CancelToken`, so
   evaluator check-points fire inside pool workers too.  Process workers
   cannot share a token; the coordinating thread re-checks between
-  shard-map steps instead.
+  map steps instead.
 """
 
 from __future__ import annotations
@@ -154,8 +149,7 @@ class WorkerPool:
         of its own tasks runs inline on the calling worker thread.  Nested
         fan-out on one bounded executor would otherwise deadlock — every
         worker blocking on inner tasks no free worker can ever pick up
-        (e.g. the level scheduler's per-parent tasks each issuing sharded
-        semijoins).
+        (e.g. a batch member whose execution fans out a nested batch).
         """
         items = list(tasks)
         if (
@@ -304,7 +298,7 @@ class WorkerPool:
                         executor = ProcessPoolExecutor(max_workers=workers)
                     else:
                         executor = ThreadPoolExecutor(
-                            max_workers=workers, thread_name_prefix="repro-shard"
+                            max_workers=workers, thread_name_prefix="repro-worker"
                         )
                     self._executor = executor
         return executor

@@ -8,7 +8,7 @@ evaluation algorithm in the library is written against.
 from .attributes import HASH_PREFIX, hashed, is_hashed, unhashed
 from .algebra import divide, join_all, project_join, union_all
 from .database import Database
-from .index import HashIndex, IndexPool
+from .index import HashIndex
 from .io import (
     database_from_json,
     database_to_json,
@@ -31,7 +31,6 @@ __all__ = [
     "DatabaseSchema",
     "HASH_PREFIX",
     "HashIndex",
-    "IndexPool",
     "JOIN_ALGORITHMS",
     "Relation",
     "RelationSchema",

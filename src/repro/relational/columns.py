@@ -107,11 +107,11 @@ def zip_key_codes(pool: ValuePool, columns: Sequence[array]) -> array:
 def key_code_of(
     values_pool: ValuePool, keys_pool: ValuePool, key: Any, width: int
 ) -> Optional[int]:
-    """The key code a :meth:`Relation._partition` router assigns to *key*.
+    """The join-key code (:meth:`Relation._key_codes`) of *key*, if any.
 
     *key* follows the index-key convention: the raw value when *width* is
     1, the value tuple otherwise.  Returns ``None`` when any component was
-    never interned — such a key cannot appear in any partitioned relation,
+    never interned — such a key cannot appear in any encoded relation,
     so callers may treat it as matching nothing.
     """
     if width == 1:

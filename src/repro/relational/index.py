@@ -5,17 +5,16 @@ instances; a hash index on the bound positions turns each probe from a scan
 into a dictionary lookup.
 
 Since the columnar-kernel rewrite, the index storage itself lives *on the
-relation* (:meth:`Relation._index` — built lazily, cached forever, safe
-because relations are immutable).  :class:`HashIndex` and :class:`IndexPool`
-are kept as the stable public API: they are thin views over the per-relation
-cache, so an index built through any entry point (``semijoin``,
-``natural_join``, ``select_eq``, an evaluator, or this module) is shared by
-all of them.
+relation* (:meth:`Relation._index` — built lazily, cached for the
+relation's lifetime, safe because relations are immutable).
+:class:`HashIndex` is kept as the stable public API: a thin view over the
+per-relation cache, so an index built through any entry point
+(``select_eq``, an evaluator, or this module) is shared by all of them.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, List, Sequence, Tuple
+from typing import Any, FrozenSet, List, Sequence, Tuple
 
 from .relation import Relation, Row
 
@@ -62,30 +61,3 @@ class HashIndex:
     def __len__(self) -> int:
         return len(self._buckets)
 
-
-class IndexPool:
-    """A cache of :class:`HashIndex` objects keyed by (id, positions).
-
-    Relations are immutable, so caching by object identity is safe for the
-    lifetime of the pool.  The pool also pins the relations it has indexed so
-    that ids cannot be recycled while the pool is alive.  The underlying
-    bucket dictionaries live on the relations themselves, so distinct pools
-    indexing the same relation share storage.
-    """
-
-    def __init__(self) -> None:
-        self._cache: Dict[Tuple[int, Tuple[int, ...]], HashIndex] = {}
-        self._pinned: List[Relation] = []
-
-    def index(self, relation: Relation, positions: Sequence[int]) -> HashIndex:
-        """Return (building if necessary) the index on *positions*."""
-        key = (id(relation), tuple(positions))
-        found = self._cache.get(key)
-        if found is None:
-            found = HashIndex(relation, positions)
-            self._cache[key] = found
-            self._pinned.append(relation)
-        return found
-
-    def __len__(self) -> int:
-        return len(self._cache)

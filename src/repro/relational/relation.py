@@ -16,14 +16,12 @@ Kernel notes (see ``docs/kernel.md`` for the full contract):
   (validated), :meth:`Relation.from_columns` (validated, column-major), and
   the *trusted* :meth:`Relation._from_frozen` fast path, which does not
   validate and through which every algebra operation builds its result so
-  rows are frozen and validated exactly once.  The legacy positional
-  ``Relation(attributes, rows)`` form still works but warns
-  ``DeprecationWarning``;
+  rows are frozen and validated exactly once;
 * the backing store is columnar: each relation lazily dictionary-encodes
   its columns against the process-wide value pool (``relational.columns``)
   into one code array per attribute.  Code equality is value equality
   across all relations, so the kernel ops — semijoin/antijoin membership,
-  join bucketing, projection dedup, partition routing — run over small-int
+  join bucketing, projection dedup — run over small-int
   code arrays instead of re-hashing row values.  Operations that filter or
   slice rows (semijoin, projection) hand their result the selected code
   arrays, so derived relations never pay the encoding again;
@@ -35,13 +33,6 @@ Kernel notes (see ``docs/kernel.md`` for the full contract):
   (``rename``, and the candidate-relation fast path) share the source
   relation's index and column caches, since positional caches only depend
   on rows;
-* the parallel execution layer (``repro.parallel``) shards relations by
-  join-key *code* through :meth:`Relation._partition`, a lazy cache exactly
-  like :meth:`Relation._index`: shards are built from the cached index on
-  the key positions, each shard is born with that index preseeded, and —
-  relations being immutable — a cached partition is never invalidated.
-  Routing by pool code (``key_code % count``) keeps join-compatible
-  relations co-partitioned, because codes are global to the process;
 * all lazy caches are safe to fill from concurrent threads (the shared
   engine behind ``repro.service`` does): fills race only on *cold* slots,
   every racer builds an equivalent value from the immutable rows, and the
@@ -51,13 +42,13 @@ Kernel notes (see ``docs/kernel.md`` for the full contract):
 * pickling drops the columnar caches: pool codes are meaningless in
   another process (each process grows its own pools), so a shipped
   relation re-encodes lazily on the receiving side.  Value-keyed index
-  and partition caches travel, exactly as before.
+  caches travel.
 """
 
 from __future__ import annotations
 
-import warnings
 from array import array
+from itertools import chain
 from operator import itemgetter
 from typing import (
     Any,
@@ -84,12 +75,6 @@ IndexBuckets = Dict[Any, Tuple[Row, ...]]
 
 _EMPTY_ROWSET: FrozenSet[Row] = frozenset()
 
-_DEPRECATED_INIT = (
-    "positional Relation(attributes, rows) construction is deprecated; use "
-    "Relation.from_rows(...) / Relation.from_columns(...) (or the trusted "
-    "Relation._from_frozen fast path for pre-validated frozensets)"
-)
-
 
 class Relation:
     """An immutable relation with named columns and set-of-tuples contents.
@@ -98,8 +83,6 @@ class Relation:
     :meth:`from_rows` (row-major, validated), :meth:`from_columns`
     (column-major, validated), :meth:`from_dicts`, :meth:`unit`,
     :meth:`empty`, or — for trusted pre-frozen data — :meth:`_from_frozen`.
-    The legacy positional form ``Relation(attributes, rows)`` still works
-    but emits :class:`DeprecationWarning`.
 
     Examples
     --------
@@ -108,16 +91,8 @@ class Relation:
     frozenset({(1,)})
     """
 
-    __slots__ = ("_attributes", "_rows", "_indexes", "_partitions", "_columnar")
-
-    def __init__(self, attributes: Sequence[str], rows: Iterable[Row] = ()) -> None:
-        warnings.warn(_DEPRECATED_INIT, DeprecationWarning, stacklevel=2)
-        validated = Relation.from_rows(attributes, rows)
-        self._attributes = validated._attributes
-        self._rows = validated._rows
-        self._indexes = {}
-        self._partitions = {}
-        self._columnar = {}
+    # ``__weakref__`` lets memory-retention checks watch a relation die.
+    __slots__ = ("_attributes", "_rows", "_indexes", "_columnar", "__weakref__")
 
     # ------------------------------------------------------------------
     # Trusted constructor + lazy caches (the kernel's internal contract)
@@ -141,18 +116,17 @@ class Relation:
         self._attributes = attributes
         self._rows = rows
         self._indexes = {}
-        self._partitions = {}
         self._columnar = {}
         return self
 
     def __getstate__(self):
         # The columnar caches hold process-local pool codes; they must not
         # cross a pickle boundary (a worker process has different pools).
-        # Value-keyed index/partition caches remain valid anywhere.
-        return (self._attributes, self._rows, self._indexes, self._partitions)
+        # Value-keyed index caches remain valid anywhere.
+        return (self._attributes, self._rows, self._indexes)
 
     def __setstate__(self, state) -> None:
-        self._attributes, self._rows, self._indexes, self._partitions = state
+        self._attributes, self._rows, self._indexes = state
         self._columnar = {}
 
     def _index(self, positions: Tuple[int, ...]) -> IndexBuckets:
@@ -192,7 +166,7 @@ class Relation:
         # Publish with setdefault: two threads filling the same cold slot
         # concurrently (the shared-engine service does this) both built the
         # same buckets, and every caller must agree on ONE canonical object
-        # so downstream identity checks and shard preseeds stay consistent.
+        # so downstream identity checks stay consistent.
         return self._indexes.setdefault(positions, frozen_buckets)
 
     # -- columnar store -------------------------------------------------
@@ -276,54 +250,6 @@ class Relation:
                 child._columnar[cache_key] = select_codes(column, indices)
         return child
 
-    def _partition(
-        self, positions: Tuple[int, ...], count: int
-    ) -> Tuple["Relation", ...]:
-        """Hash-partition into *count* shards by the key on *positions*.
-
-        Shard ``s`` holds the rows whose join-key *pool code* is ``s``
-        modulo *count* (the value code for a single position, the composite
-        KEYS code otherwise — see ``relational.columns``).  Built from the
-        cached index on *positions* — whole buckets are routed, so every
-        key lands in exactly one shard, and because pool codes are global
-        to the process, two relations partitioned on join-compatible keys
-        with equal *count* are co-partitioned: matching keys meet in the
-        same shard index.  Each shard is a full :class:`Relation` over the
-        same attributes, created with its index on *positions* preseeded
-        from the routed buckets (sharding never pays the index build
-        twice).  Like :meth:`_index`, the result is cached for the
-        relation's lifetime and never invalidated.
-        """
-        if count < 1:
-            raise ValueError(f"partition count must be >= 1, got {count}")
-        cache_key = (positions, count)
-        found = self._partitions.get(cache_key)
-        if found is not None:
-            return found
-        routed: List[Dict[Any, Tuple[Row, ...]]] = [{} for _ in range(count)]
-        if len(positions) == 1:
-            encode = VALUES.encode
-            for key, bucket in self._index(positions).items():
-                routed[encode(key) % count][key] = bucket
-        else:
-            value_code = VALUES.encode
-            key_code = KEYS.encode
-            for key, bucket in self._index(positions).items():
-                code = key_code(tuple(value_code(v) for v in key))
-                routed[code % count][key] = bucket
-        shards = []
-        for shard_buckets in routed:
-            rows = frozenset(
-                row for bucket in shard_buckets.values() for row in bucket
-            )
-            shard = Relation._from_frozen(self._attributes, rows)
-            shard._indexes[positions] = shard_buckets
-            shards.append(shard)
-        frozen_shards = tuple(shards)
-        # setdefault, like _index: concurrent cold fills converge on one
-        # canonical shard tuple (first writer wins, later fills discarded).
-        return self._partitions.setdefault(cache_key, frozen_shards)
-
     @staticmethod
     def _key_getter(positions: Tuple[int, ...]) -> Callable[[Row], Any]:
         """Row → index key, matching :meth:`_index`'s key convention."""
@@ -336,13 +262,8 @@ class Relation:
 
     def _share_indexes_with(self, other: "Relation") -> "Relation":
         """Share *other*'s index + columnar caches (caller guarantees
-        identical rows).
-
-        The partition cache is *not* shared: cached shards are Relations
-        carrying their source's attribute names, which a rename-shaped twin
-        must not inherit.  Positional indexes and code columns only depend
-        on rows, so both transfer.
-        """
+        identical rows).  Positional indexes and code columns only depend
+        on rows, so both transfer."""
         self._indexes = other._indexes
         self._columnar = other._columnar
         return self
@@ -785,25 +706,42 @@ class Relation:
         The schema of the result equals self's schema.  With no shared
         attributes the semijoin keeps everything iff *other* is nonempty.
 
-        Membership is an int probe of *other*'s cached key-code set against
-        this relation's key-code array (codes are process-global, so equal
-        keys carry equal codes in both relations).  When nothing is
-        filtered, ``self`` is returned unchanged so its caches stay live;
-        otherwise the result inherits the selected code columns and never
-        re-encodes.
+        When this relation's value index on the shared columns is already
+        cached (a base relation probed on every execution), the semijoin
+        walks its buckets — one dict probe per distinct key, not per row —
+        and keeps or drops whole buckets.  Otherwise membership is an int
+        probe of *other*'s cached key-code set against this relation's
+        key-code array (codes are process-global, so equal keys carry
+        equal codes in both relations), and no index is built.  When
+        nothing is filtered, ``self`` is returned unchanged so its caches
+        stay live; a code-probe result inherits the selected code columns
+        and never re-encodes.
         """
+        if not self._rows:
+            return self
+        if not other._rows:
+            return Relation._from_frozen(self._attributes, _EMPTY_ROWSET)
         other_set = set(other._attributes)
         shared = tuple(a for a in self._attributes if a in other_set)
         if not shared:
-            if other._rows:
-                return self
-            return Relation._from_frozen(self._attributes, _EMPTY_ROWSET)
-        right_keys = other._key_code_set(positions_of(other._attributes, shared))
-        codes = self._key_codes(positions_of(self._attributes, shared))
-        kept = [i for i, code in enumerate(codes) if code in right_keys]
-        if len(kept) == len(codes):
             return self
-        return self._take(self._row_order(), kept)
+        left_positions = positions_of(self._attributes, shared)
+        right_positions = positions_of(other._attributes, shared)
+        buckets = self._indexes.get(left_positions)
+        if buckets is not None:
+            right_index = other._index(right_positions)
+            kept = [bucket for key, bucket in buckets.items() if key in right_index]
+            if sum(map(len, kept)) == len(self._rows):
+                return self
+            return Relation._from_frozen(
+                self._attributes, frozenset(chain.from_iterable(kept))
+            )
+        right_keys = other._key_code_set(right_positions)
+        codes = self._key_codes(left_positions)
+        kept_indices = [i for i, code in enumerate(codes) if code in right_keys]
+        if len(kept_indices) == len(codes):
+            return self
+        return self._take(self._row_order(), kept_indices)
 
     def antijoin(self, other: "Relation") -> "Relation":
         """Antijoin ``self ▷ other``: rows of self that join with no row of other."""

@@ -1,6 +1,6 @@
 """End-to-end resilience: deadlines, cancellation, retries, fault injection.
 
-The engine stack (kernel → adaptive engine → sharded parallel layer →
+The engine stack (kernel → adaptive engine → parallel batch layer →
 async service → TCP protocol) serves real cross-process traffic; this
 package is what makes it *fail well* under the traffic the ROADMAP's
 fleet-scale story implies.  Adversarial query shapes blow past any cost
@@ -11,7 +11,7 @@ is a correctness property, built from three small pieces:
 :mod:`.token`
     :class:`CancelToken` — a cooperative deadline/cancellation token the
     service activates around every engine call and the evaluators check
-    at level boundaries and shard-map steps, so oversized queries abort
+    at dispatch and before every acyclic semijoin, so oversized queries abort
     with a typed :class:`~repro.errors.DeadlineExceededError` instead of
     running unbounded.  Worker pools propagate the active token into
     their worker threads.

@@ -5,8 +5,8 @@ request's execution: the service mints it at admission (from the wire
 request's ``deadline`` or from a client abandoning the request), the
 dispatch thread *activates* it around the engine call, the worker pools
 propagate it into their worker threads, and the evaluators *check* it at
-natural safe points — join-tree level boundaries, shard-map steps, and
-(strided) the naive evaluator's backtracking search.
+natural safe points — engine dispatch, every semijoin of the acyclic
+passes, and (strided) the naive evaluator's backtracking search.
 
 Cancellation is cooperative on purpose: evaluators hold no external
 resources mid-pass, so a check-point abort is always consistent, and the
@@ -16,8 +16,7 @@ resilience layer is <5%, measured by ``bench_resilience.py``).
 
 Thread-safety: ``cancel`` is a single attribute write, ``check`` reads
 immutable-after-cancel state; CPython's per-opcode atomicity makes both
-safe without a lock, and tokens never cross process boundaries (process
-pools re-check at the shard-map step in the coordinating thread).
+safe without a lock, and tokens never cross process boundaries.
 """
 
 from __future__ import annotations

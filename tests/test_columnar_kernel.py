@@ -3,11 +3,9 @@
 Three contract groups:
 
 * **Construction** — ``from_rows`` / ``from_columns`` agree, round-trip
-  through ``to_columns``-style access, validate strictly, and the
-  deprecated positional ``Relation(attrs, rows)`` still works (with a
-  ``DeprecationWarning``) and builds the identical value.
+  through ``to_columns``-style access, and validate strictly.
 * **Kernel equivalence** — every code-array kernel (semijoin, antijoin,
-  natural join, project, select_eq, partition) returns exactly what a
+  natural join, project, select_eq) returns exactly what a
   straightforward frozenset/dict reference implementation computes,
   including mixed-type domains where Python equality crosses types
   (``1 == True == 1.0``).
@@ -84,13 +82,6 @@ class TestConstructors:
         ]
         rebuilt = Relation.from_columns(relation.attributes, columns)
         assert rebuilt == relation
-
-    @settings(max_examples=100, deadline=None)
-    @given(relations())
-    def test_positional_constructor_deprecated_but_equal(self, relation):
-        with pytest.deprecated_call():
-            legacy = Relation(relation.attributes, relation.rows)
-        assert legacy == relation
 
     def test_from_rows_validates(self):
         with pytest.raises(SchemaError):
@@ -184,19 +175,6 @@ class TestKernelEquivalence:
             {row for row in relation.rows if row[position] == value},
         )
         assert relation.select_eq({attribute: value}) == expected
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.data(), st.integers(min_value=1, max_value=5))
-    def test_partition_is_a_partition_routed_by_code(self, data, count):
-        relation = data.draw(relations())
-        positions = (0,)
-        shards = relation._partition(positions, count)
-        assert len(shards) == count
-        assert frozenset().union(*(s.rows for s in shards)) == relation.rows
-        assert sum(s.cardinality for s in shards) == relation.cardinality
-        for index, shard in enumerate(shards):
-            for row in shard.rows:
-                assert VALUES.encode(row[0]) % count == index
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

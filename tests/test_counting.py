@@ -1,9 +1,8 @@
-"""The counting subsystem: modes, the annotated Yannakakis pass, sharded
-partial counts, grouped counts, and the aggregate facades."""
+"""The counting subsystem: modes, the annotated Yannakakis pass, grouped
+counts, and the aggregate facades."""
 
 import pytest
 
-import repro.evaluation.yannakakis as yannakakis_module
 from repro import Database, QueryEngine, Relation, parse_query
 from repro.engine import (
     COUNT_BOOLEAN,
@@ -107,7 +106,6 @@ class TestCountingEvaluator:
         result = CountingYannakakisEvaluator().count(query, chain)
         assert result.mode == COUNT_FULL
         assert result.total == naive_count(query, chain)
-        assert sum(result.partials) == result.total
 
     @pytest.mark.parametrize("head_arity", [1, 2])
     def test_covered_mode_matches_naive(self, chain, head_arity):
@@ -134,21 +132,6 @@ class TestCountingEvaluator:
         evaluator = CountingYannakakisEvaluator()
         with pytest.raises(QueryError):
             evaluator.count(headed_cycle_query(4), chain)
-
-    @pytest.mark.parametrize("shard_count", [2, 4])
-    @pytest.mark.parametrize("head_arity", [2, 4])
-    def test_sharded_partials_merge_exactly(self, chain, shard_count, head_arity):
-        # The per-shard partial counts must sum to the serial total: the
-        # covered mode routes whole index buckets so no key spans shards,
-        # and the full mode hash-partitions root annotations.
-        query = path_query(3, head_arity=head_arity)
-        serial = CountingYannakakisEvaluator().count(query, chain)
-        sharded = CountingYannakakisEvaluator().count(
-            query, chain, shard_count=shard_count
-        )
-        assert len(sharded.partials) == shard_count
-        assert sum(sharded.partials) == serial.total
-        assert sharded.total == serial.total
 
     def test_star_quantified_count(self):
         # STAR(hub) :- A1(hub,l1)..Ak(hub,lk) with the leaves existential:
@@ -227,42 +210,15 @@ class TestEngineCountingFacade:
             assert engine.plan_for(query, chain).count_mode == COUNT_HARD
             assert engine.count(query, chain) == naive_count(query, chain)
 
-    def test_sharded_count_matches_serial(self, chain):
+    def test_pooled_count_matches_serial(self, chain):
         query = path_query(3, head_arity=2)
-        with QueryEngine(
-            planner=Planner(shard_threshold_rows=1, shard_count=4)
-        ) as sharded, QueryEngine(parallel=False) as serial:
-            assert sharded.plan_for(query, chain).shard_count == 4
+        with QueryEngine(max_workers=2) as pooled, QueryEngine(
+            parallel=False
+        ) as serial:
+            assert pooled.pool is not None and serial.pool is None
             expected = naive_count(query, chain)
-            assert sharded.count(query, chain) == expected
+            assert pooled.count(query, chain) == expected
             assert serial.count(query, chain) == expected
-
-    def test_counting_reducer_runs_at_the_plans_shard_count(
-        self, chain, monkeypatch
-    ):
-        seen = []
-        semijoin = yannakakis_module.parallel_semijoin
-
-        def spy(left, right, shard_count, pool):
-            seen.append(shard_count)
-            return semijoin(left, right, shard_count=shard_count, pool=pool)
-
-        monkeypatch.setattr(yannakakis_module, "parallel_semijoin", spy)
-        planner = Planner(shard_count=7, shard_threshold_rows=1)
-        with QueryEngine(planner=planner) as engine:
-            # boolean, covered, covered, full
-            for head_arity in (0, 1, 2, 4):
-                query = path_query(3, head_arity=head_arity)
-                assert engine.plan_for(query, chain).shard_count == 7
-                seen.clear()
-                assert engine.count(query, chain) == naive_count(query, chain)
-                assert seen and set(seen) == {7}
-            query = path_query(3, head_arity=2)
-            seen.clear()
-            grouped = engine.grouped_count(query, chain, ("x0",))
-            answers = NaiveEvaluator().evaluate(query, chain)
-            assert grouped == grouped_count_reference(query, answers, ("x0",))
-            assert seen and set(seen) == {7}
 
     def test_count_batch(self, chain):
         queries = [path_query(n, head_arity=1) for n in (1, 2, 3)]

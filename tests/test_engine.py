@@ -1,5 +1,8 @@
 """Unit tests for the adaptive engine: analyzer, planner, cache, facade."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro import Database, QueryEngine, parse_query
@@ -328,3 +331,21 @@ class TestNaiveAtomOrderOverride:
             naive.evaluate(query, edge_db, atom_order=(0, 0))
         with pytest.raises(QueryError):
             naive.evaluate(query, edge_db, atom_order=(0,))
+
+
+class TestMemoryRetention:
+    def test_engine_does_not_pin_dropped_databases(self):
+        # A long-lived engine must not keep every relation it has probed
+        # alive: once the caller drops the database, its relations die.
+        engine = QueryEngine()
+        database = chain_database(layers=4, width=8, p=0.4, seed=3)
+        refs = [weakref.ref(database[name]) for name in database.names()]
+        engine.execute(path_query(3, head_arity=1), database)
+        engine.execute(path_query(2, head_arity=2), database, evaluator="naive")
+        engine.count(path_query(3, head_arity=2), database)
+        engine.count(cycle_query(4), database)
+        del database
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        engine.close()
+

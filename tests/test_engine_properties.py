@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import ConjunctiveQuery, Database, QueryEngine
-from repro.engine import Planner
 from repro.engine.analysis import ACYCLIC, FAST_COUNTING_MODES, counting_mode
 from repro.evaluation import (
     CountingYannakakisEvaluator,
@@ -22,7 +21,6 @@ from repro.evaluation import (
     YannakakisEvaluator,
 )
 from repro.inequalities import AcyclicInequalityEvaluator
-from repro.parallel import WorkerPool
 from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.workloads import (
     chain_database,
@@ -81,21 +79,18 @@ class TestAcyclicAgreement:
         )
 
 
-class TestYannakakisAtEveryShardCount:
-    """One evaluator, every shard count: ``evaluate``, ``decide``, the
-    bottom-up pass at every root, and ``count`` agree with the naive
-    backtracking oracle.  ``workers=2`` (a serial pool claiming two
-    workers) drives the sharded kernels inline; ``workers=1`` takes the
-    unsharded fallbacks at the same shard count."""
+class TestYannakakisMatchesNaive:
+    """The one evaluator: ``evaluate``, ``decide``, the bottom-up pass at
+    every root, and ``count`` agree with the naive backtracking oracle —
+    directly, and through an engine with and without a worker pool."""
 
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
         head_arity=st.integers(0, 3),
-        shard_count=st.sampled_from((1, 2, 7)),
-        workers=st.sampled_from((1, 2)),
+        parallel=st.booleans(),
     )
-    def test_matches_naive(self, seed, head_arity, shard_count, workers):
+    def test_matches_naive(self, seed, head_arity, parallel):
         rng = random.Random(seed)
         query = random_acyclic_query(
             num_atoms=rng.randint(1, 5),
@@ -107,23 +102,15 @@ class TestYannakakisAtEveryShardCount:
         database = database_for(query, domain_size=6, tuples=25, seed=seed)
         naive = NaiveEvaluator()
         reference = naive.evaluate(query, database)
-        evaluator = YannakakisEvaluator(
-            pool=WorkerPool(max_workers=workers, mode="serial")
-        )
+        evaluator = YannakakisEvaluator()
 
-        assert evaluator.evaluate(query, database, shard_count=shard_count) == (
-            reference
-        )
-        assert evaluator.decide(query, database, shard_count=shard_count) == (
-            not reference.is_empty()
-        )
+        assert evaluator.evaluate(query, database) == reference
+        assert evaluator.decide(query, database) == (not reference.is_empty())
         for root, atom in enumerate(query.atoms):
             witnessed = naive.evaluate(
                 ConjunctiveQuery(atom.variables(), query.atoms), database
             )
-            reduced = evaluator.reduce_bottom_up(
-                query, database, root=root, shard_count=shard_count
-            )
+            reduced = evaluator.reduce_bottom_up(query, database, root=root)
             if witnessed.is_empty():
                 assert reduced is None
             else:
@@ -133,11 +120,13 @@ class TestYannakakisAtEveryShardCount:
         mode = counting_mode(query, ACYCLIC)
         if mode in FAST_COUNTING_MODES:
             counted = CountingYannakakisEvaluator(reducer=evaluator).count(
-                query, database, mode=mode, shard_count=shard_count
+                query, database, mode=mode
             )
             assert counted.total == reference.cardinality
-        planner = Planner(shard_threshold_rows=1, shard_count=shard_count)
-        with QueryEngine(planner=planner, max_workers=workers) as engine:
+        with QueryEngine(parallel=parallel, max_workers=2) as engine:
+            assert (engine.pool is not None) == parallel
+            assert engine.execute(query, database) == reference
+            assert engine.decide(query, database) == (not reference.is_empty())
             assert engine.count(query, database) == reference.cardinality
 
 

@@ -23,7 +23,7 @@ from repro import (
     YannakakisEvaluator,
 )
 from repro.engine import DEFAULT_REPLAN_LIMIT, Planner
-from repro.parallel import WorkerPool, lift_batch_group
+from repro.parallel import lift_batch_group
 from repro.operations import DECIDE, operations_of
 from repro.query.atoms import Atom
 from repro.query.terms import Constant, Variable
@@ -299,20 +299,15 @@ class TestReduceBottomUp:
             )
             assert reduced is not None
 
-    def test_every_root_and_shard_count_matches_naive(self):
-        # Two nominal workers on a serial pool: shard_count 4 runs the
-        # sharded kernels, inline.
-        evaluator = YannakakisEvaluator(pool=WorkerPool(max_workers=2, mode="serial"))
+    def test_every_root_matches_naive(self):
+        evaluator = YannakakisEvaluator()
         for root, atom in enumerate(self.query.atoms):
             names = tuple(v.name for v in atom.variables())
             witnessed = NaiveEvaluator().evaluate(
                 ConjunctiveQuery(atom.variables(), self.query.atoms), self.database
             )
-            for shard_count in (1, 4):
-                reduced = evaluator.reduce_bottom_up(
-                    self.query, self.database, root=root, shard_count=shard_count
-                )
-                assert reduced.project(names).rows == witnessed.rows
+            reduced = evaluator.reduce_bottom_up(self.query, self.database, root=root)
+            assert reduced.project(names).rows == witnessed.rows
 
     def test_survivors_are_exactly_the_witnessed_tuples(self):
         """After the bottom-up pass, the root holds precisely the root

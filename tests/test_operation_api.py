@@ -26,7 +26,6 @@ from repro.operations import (
     operations_of,
 )
 from repro.protocol import AsyncQueryClient, QueryClient, QueryServer
-from repro.protocol.messages import query_text
 from repro.service import QueryService
 from repro.workloads import chain_database, path_query
 
@@ -298,10 +297,10 @@ class TestWireDispatch:
             assert grouped == engine.grouped_count(query, chain, ("x0",))
         assert exists is True and forall is False
 
-    def test_client_batch_shims_removed_wire_ops_stay(self, chain):
-        # The client-side shims are gone, but the ``execute_batch`` /
-        # ``decide_batch`` WIRE ops remain as server-side compatibility
-        # shims for old clients: a raw wire call still answers.
+    def test_batch_shims_and_wire_ops_removed(self, chain):
+        # The client-side shims and the ``execute_batch`` / ``decide_batch``
+        # wire ops are gone: ``run_batch`` is the one batch op, and a raw
+        # frame naming a retired op is rejected as an unknown op.
         queries = [path_query(n, head_arity=1) for n in (1, 2)]
 
         async def main():
@@ -313,34 +312,43 @@ class TestWireDispatch:
                     new_e = await client.run_batch(
                         operations_of(EXECUTE, queries), "chain"
                     )
-                    wire_e = await client._call(
-                        "execute_batch",
-                        queries=[query_text(q) for q in queries],
-                        database="chain",
+                reader, writer = await asyncio.open_connection(host, port)
+                rejected = []
+                for rid, op in enumerate(("execute_batch", "decide_batch")):
+                    writer.write(
+                        b'{"v": 1, "op": "%s", "id": %d, "database": "chain"}\n'
+                        % (op.encode(), rid)
                     )
+                    await writer.drain()
+                    rejected.append(await reader.readline())
+                writer.close()
 
-                    def sync_work():
-                        with QueryClient(host, port) as sync_client:
-                            assert not hasattr(sync_client, "execute_batch")
-                            assert not hasattr(sync_client, "decide_batch")
-                            return (
-                                sync_client.run_batch(
-                                    operations_of(EXECUTE, queries), "chain"
-                                ),
-                                sync_client.count(queries[0], "chain"),
-                            )
+                def sync_work():
+                    with QueryClient(host, port) as sync_client:
+                        assert not hasattr(sync_client, "execute_batch")
+                        assert not hasattr(sync_client, "decide_batch")
+                        return (
+                            sync_client.run_batch(
+                                operations_of(EXECUTE, queries), "chain"
+                            ),
+                            sync_client.count(queries[0], "chain"),
+                        )
 
-                    sync_new, sync_count = await asyncio.to_thread(sync_work)
-            return new_e, wire_e, sync_new, sync_count
+                sync_new, sync_count = await asyncio.to_thread(sync_work)
+            return new_e, rejected, sync_new, sync_count
 
-        new_e, wire_e, sync_new, sync_count = run(main())
+        from repro.protocol import decode
+
+        new_e, rejected, sync_new, sync_count = run(main())
         assert new_e == sync_new
-        wire_rows = [
-            {tuple(row) for row in payload["rows"]} for payload in wire_e.result
-        ]
-        assert [set(r.rows) for r in new_e] == wire_rows
         with QueryEngine() as engine:
+            assert new_e == [engine.execute(q, chain) for q in queries]
             assert sync_count == engine.count(queries[0], chain)
+        for rid, line in enumerate(rejected):
+            response = decode(line)
+            assert response.id == rid
+            assert response.error.code == "bad_request"
+            assert "unknown op" in response.error.message
 
     def test_invalid_wire_operation_is_structured_error(self, chain):
         from repro.protocol import RemoteQueryError

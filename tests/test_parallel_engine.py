@@ -1,7 +1,8 @@
 """The parallel execution layer behind the engine facade.
 
-Sharded dispatch, N-wide batch lifting, the per-shape stats ledger, and
-cost-model feedback must all be invisible at the API: every result equals
+One-shard dispatch, N-wide batch lifting, pool fan-out of batch members,
+the per-shape stats ledger, and cost-model feedback must all be invisible
+at the API: every result equals
 the naive backtracking evaluator's, an algorithm independent of the
 Yannakakis passes under test.
 """
@@ -11,9 +12,8 @@ import random
 import pytest
 
 from repro import Database, DatalogEvaluator, NaiveEvaluator, QueryEngine
-from repro.engine import Planner
 from repro.evaluation import YannakakisEvaluator
-from repro.operations import EXECUTE, operations_of
+from repro.operations import DECIDE, EXECUTE, operations_of
 from repro.parallel import WorkerPool, lift_batch_group
 from repro.query.parser import parse_program, parse_query
 from repro.workloads import (
@@ -28,13 +28,6 @@ from repro.workloads import (
 from repro.relational.schema import DatabaseSchema, RelationSchema
 
 
-def sharding_engine(**kwargs) -> QueryEngine:
-    """An engine whose planner shards everything (threshold 1 row)."""
-    return QueryEngine(
-        planner=Planner(shard_threshold_rows=1, shard_count=4), **kwargs
-    )
-
-
 def naive_answers(batch, database):
     naive = NaiveEvaluator()
     return [naive.evaluate(query, database) for query in batch]
@@ -46,26 +39,25 @@ def big_chain():
 
 
 class TestParallelDispatch:
-    def test_sharded_plan_recorded_and_explained(self, big_chain):
-        engine = sharding_engine()
+    def test_large_input_plan_explained_without_sharding(self, big_chain):
+        engine = QueryEngine()
         query = path_query(4, head_arity=1)
         plan = engine.plan_for(query, big_chain)
         assert plan.evaluator == "yannakakis"
-        assert plan.shard_count == 4
-        text = engine.explain(query, big_chain)
-        assert "sharding : 4-way hash partitions" in text
+        assert "sharding" not in engine.explain(query, big_chain)
 
-    def test_small_inputs_stay_sequential(self):
-        engine = QueryEngine()
-        database = chain_database(layers=5, width=8, p=0.3, seed=1)
-        plan = engine.plan_for(path_query(4, head_arity=1), database)
-        assert plan.shard_count == 1
-        text = engine.explain(path_query(4, head_arity=1), database)
-        assert "sharding : off" in text
+    def test_small_inputs_stay_sequential(self, big_chain):
+        # A single query runs inline: the pool starts only for batch fan-out.
+        small = chain_database(layers=5, width=8, p=0.3, seed=1)
+        with QueryEngine(max_workers=2) as engine:
+            for database in (small, big_chain):
+                engine.execute(path_query(4, head_arity=1), database)
+                engine.count(path_query(4, head_arity=1), database)
+            assert engine.pool._executor is None
 
-    def test_sharded_execution_matches_naive(self, big_chain):
+    def test_pooled_execution_matches_naive(self, big_chain):
         query = path_query(4, head_arity=2)
-        parallel = sharding_engine()
+        parallel = QueryEngine()
         naive = NaiveEvaluator()
         assert parallel.execute(query, big_chain) == naive.evaluate(
             query, big_chain
@@ -75,7 +67,7 @@ class TestParallelDispatch:
     def test_star_query_parallel_matches(self):
         query = star_query(5)
         database = star_database(5, 64, seed=3)
-        parallel = sharding_engine()
+        parallel = QueryEngine()
         # The naive search would enumerate 32^5 leaf choices per hub; the
         # answer is, independently, the hubs every arm relation mentions.
         hubs = frozenset.intersection(
@@ -96,16 +88,12 @@ class TestParallelDispatch:
             RelationSchema(atom.relation, atom.arity) for atom in query.atoms
         )
         database = random_database(schema, 12, 80, seed=seed)
-        # Two nominal workers on a serial pool: the sharded kernels run,
-        # inline and deterministically.
-        evaluator = YannakakisEvaluator(pool=WorkerPool(max_workers=2, mode="serial"))
+        evaluator = YannakakisEvaluator()
         reference = NaiveEvaluator()
-        assert evaluator.evaluate(query, database, shard_count=3) == (
+        assert evaluator.evaluate(query, database) == (
             reference.evaluate(query, database)
         )
-        assert evaluator.decide(query, database, shard_count=3) == (
-            reference.decide(query, database)
-        )
+        assert evaluator.decide(query, database) == reference.decide(query, database)
 
     def test_pool_modes_agree(self, big_chain):
         query = path_query(4, head_arity=1)
@@ -115,11 +103,11 @@ class TestParallelDispatch:
             {"max_workers": 3, "pool_mode": "threads"},
             {"pool_mode": "serial"},
         ):
-            with sharding_engine(**kwargs) as engine:
+            with QueryEngine(**kwargs) as engine:
                 assert engine.execute(query, big_chain) == expected
 
     def test_forced_evaluator_still_works(self, big_chain):
-        engine = sharding_engine()
+        engine = QueryEngine()
         query = path_query(4, head_arity=1)
         assert engine.execute(query, big_chain, evaluator="naive") == (
             engine.execute(query, big_chain)
@@ -297,9 +285,9 @@ class TestWorkerPool:
             WorkerPool(mode="fibers")
 
     def test_nested_map_runs_inline_instead_of_deadlocking(self):
-        # A level with as many parent tasks as workers, each issuing a
-        # nested sharded map, used to exhaust the bounded executor: every
-        # worker blocked on inner tasks no free worker could run.
+        # As many outer tasks as workers, each issuing a nested map, used
+        # to exhaust the bounded executor: every worker blocked on inner
+        # tasks no free worker could run.
         pool = WorkerPool(max_workers=2, mode="threads")
 
         def outer(i):
@@ -320,13 +308,10 @@ class TestWorkerPool:
         assert done["result"] == expected
         pool.close()
 
-    def test_multicore_shaped_engine_run_completes(self, big_chain):
-        # Two-worker thread pool + a join tree with two independent
-        # parent groups per level: the executor fans the groups out and
-        # each group issues nested sharded semijoins.
-        query = parse_query(
-            "Q(x) :- R(x, y), S(x, z), T(y, u), U(z, v)."
-        )
+    def test_multicore_shaped_engine_run_completes(self):
+        # Two-worker thread pool: distinct batch members fan out across
+        # the pool (lifting disabled), each running the Yannakakis passes.
+        query = parse_query("Q(x) :- R(x, y), S(x, z), T(y, u), U(z, v).")
         rng = random.Random(5)
         database = Database.from_tuples(
             {
@@ -334,22 +319,24 @@ class TestWorkerPool:
                 for name in ("R", "S", "T", "U")
             }
         )
-        with WorkerPool(max_workers=2, mode="threads") as pool:
-            evaluator = YannakakisEvaluator(pool=pool)
+        members = [query.decision_instance((x,)) for x in range(30)]
+        with QueryEngine(max_workers=2, batch_wide_threshold=10**6) as engine:
             done = {}
 
             def drive():
-                done["result"] = evaluator.evaluate(query, database, shard_count=2)
+                done["result"] = engine.run_batch(
+                    operations_of(DECIDE, members), database
+                )
 
             import threading
 
             worker = threading.Thread(target=drive, daemon=True)
             worker.start()
             worker.join(timeout=60)
-            assert "result" in done, "parallel Yannakakis deadlocked"
+            assert "result" in done, "pooled batch fan-out deadlocked"
             # Independently: x survives iff R(x, y) meets T on y and
             # S(x, z) meets U on z.
             left = database["R"].semijoin(database["T"].rename({"T.0": "R.1"}))
             right = database["S"].semijoin(database["U"].rename({"U.0": "S.1"}))
             expected = left.column("R.0") & right.column("S.0")
-            assert done["result"].rows == {(x,) for x in expected}
+            assert done["result"] == [x in expected for x in range(30)]

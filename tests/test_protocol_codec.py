@@ -31,7 +31,6 @@ from repro.protocol import (
     request_id_of,
 )
 from repro.protocol.messages import (
-    BATCH_OPS,
     BOOLEAN,
     BOOLEANS,
     ERROR,
@@ -40,6 +39,7 @@ from repro.protocol.messages import (
     QUERY_OPS,
     RELATION,
     RELATIONS,
+    RUN_BATCH,
     STATS,
     STATS_RESULT,
     TEXT,
@@ -64,12 +64,14 @@ query_requests = st.builds(
 
 # "Oversized": far beyond DEFAULT_BATCH_LIMIT (64) — framing must not care.
 batch_requests = st.builds(
-    lambda op, rid, queries, database: Request(
-        op=op, id=rid, queries=tuple(queries), database=database
+    lambda rid, members, database: Request(
+        op=RUN_BATCH,
+        id=rid,
+        operations=tuple({"op": op, "query": text} for op, text in members),
+        database=database,
     ),
-    op=st.sampled_from(BATCH_OPS),
     rid=ids,
-    queries=st.lists(texts, max_size=200),
+    members=st.lists(st.tuples(st.sampled_from(QUERY_OPS), texts), max_size=200),
     database=names,
 )
 
@@ -215,8 +217,8 @@ class TestRejects:
             (b'{"v": 1, "op": "execute", "id": 1}\n', "bad_request"),
             (b'{"v": 1, "op": "execute", "id": 1, "query": "Q", '
              b'"database": "d", "extra": 1}\n', "bad_request"),
-            (b'{"v": 1, "op": "execute_batch", "id": 1, "queries": "Q", '
-             b'"database": "d"}\n', "bad_request"),
+            (b'{"v": 1, "op": "execute_batch", "id": 1, "database": "d"}\n',
+             "bad_request"),
             (b'{"v": 1, "ok": true, "kind": "nope", "result": 1}\n', "bad_request"),
             (b'{"v": 1, "ok": false, "kind": "error", "result": 1}\n', "bad_request"),
             (b'{"v": 1, "ok": false, "kind": "error", "error": {}}\n', "bad_request"),

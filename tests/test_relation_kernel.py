@@ -12,10 +12,12 @@ import random
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.evaluation.yannakakis import YannakakisEvaluator
 from repro.relational import (
     HashIndex,
-    IndexPool,
     Relation,
     hash_join,
     sort_merge_join,
@@ -215,14 +217,39 @@ class TestIndexCache:
         assert renamed._indexes is r._indexes
         assert renamed._columnar is r._columnar
 
-    def test_hash_index_and_pool_share_relation_cache(self):
+    def test_hash_index_shares_relation_cache(self):
         r = Relation.from_rows(("a", "b"), [(1, 2), (1, 3)])
-        pool = IndexPool()
-        via_pool = pool.index(r, (0,))
         direct = HashIndex(r, (0,))
-        assert via_pool._buckets is direct._buckets
+        assert direct._buckets is r._index((0,))
         assert sorted(direct.lookup((1,))) == [(1, 2), (1, 3)]
         assert direct.lookup((9,)) == []
+
+    def test_cold_semijoin_builds_no_index(self):
+        """Regression: a semijoin of a freshly built relation (a treewidth
+        bag, a reducer intermediate) probes key codes instead of building
+        a value index it will never reuse."""
+        left = Relation.from_rows(("x", "y"), {(i, i % 5) for i in range(60)})
+        right = Relation.from_rows(("y", "z"), {(i % 3, i) for i in range(20)})
+        assert left.semijoin(right) == reference_semijoin(left, right)
+        assert left._indexes == {}
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=40),
+        st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=40),
+    )
+    def test_warm_bucket_semijoin_matches_code_probe(self, left_rows, right_rows):
+        # Same rows, two relations: one cold (key-code probe), one with
+        # its value index on the join key warm (bucket walk).
+        cold = Relation.from_rows(("x", "y"), left_rows)
+        warm = Relation.from_rows(("x", "y"), left_rows)
+        warm._index((1,))
+        right = Relation.from_rows(("y", "z"), right_rows)
+        expected = reference_semijoin(cold, right)
+        assert cold.semijoin(right) == expected
+        assert warm.semijoin(right) == expected
+        if expected.cardinality == warm.cardinality:
+            assert warm.semijoin(right) is warm
 
     def test_select_eq_uses_index(self):
         r = Relation.from_rows(("a", "b"), [(1, 2), (1, 3), (2, 4)])

@@ -7,7 +7,6 @@ from repro.relational import (
     Database,
     DatabaseSchema,
     HashIndex,
-    IndexPool,
     Relation,
     RelationSchema,
     divide,
@@ -120,16 +119,6 @@ class TestIndexes:
         r = Relation.from_rows(("a",), [(1,), (2,)])
         index = HashIndex(r, ())
         assert sorted(index.lookup(())) == [(1,), (2,)]
-
-    def test_index_pool_caches(self):
-        r = Relation.from_rows(("a", "b"), [(1, 2)])
-        pool = IndexPool()
-        first = pool.index(r, (0,))
-        second = pool.index(r, (0,))
-        assert first is second
-        assert len(pool) == 1
-        pool.index(r, (1,))
-        assert len(pool) == 2
 
 
 class TestSchema:

@@ -28,7 +28,9 @@ from repro.resilience import (
     check_cancelled,
     current_token,
 )
+from repro.evaluation import CountingYannakakisEvaluator, YannakakisEvaluator
 from repro.resilience.faults import FAULTS_ENV_VAR
+from repro.workloads import chain_database, path_query
 
 
 class TestCancelToken:
@@ -99,6 +101,25 @@ class TestCancelToken:
             with activate(inner):
                 assert current_token() is inner
             assert current_token() is outer
+
+
+class TestCancellationInsideAcyclicPasses:
+    """An expired deadline aborts the acyclic passes themselves, not just
+    engine dispatch: every semijoin of the passes is a check-point."""
+
+    @pytest.mark.parametrize("call", ["decide", "evaluate", "count"])
+    def test_expired_token_raises_typed_deadline_error(self, call):
+        database = chain_database(layers=4, width=6, p=0.5, seed=3)
+        query = path_query(3, head_arity=2)
+        runs = {
+            "decide": lambda: YannakakisEvaluator().decide(query, database),
+            "evaluate": lambda: YannakakisEvaluator().evaluate(query, database),
+            "count": lambda: CountingYannakakisEvaluator().count(query, database),
+        }
+        runs[call]()  # without a token the call completes
+        with activate(CancelToken(deadline=0.0)):
+            with pytest.raises(DeadlineExceededError):
+                runs[call]()
 
 
 class TestRetryPolicy:

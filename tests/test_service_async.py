@@ -323,7 +323,7 @@ class TestFacade:
     def test_dispatch_pool_is_separate_from_engine_pool(self, chain_db):
         """Dispatch must not run as tasks *of the engine's pool* — that
         would trip its re-entrancy guard and silently serialize every
-        sharded intra-query fan-out beneath the service."""
+        batch fan-out beneath the service."""
         engine = QueryEngine()
         query = path_query(3, head_arity=1)
 
