@@ -124,6 +124,14 @@ def mixed_workload() -> List[Dict[str, Any]]:
             "candidates": ("naive", "inequality"),
         },
         {
+            # perfbench analytic's ≠ instance: observed-cardinality drift
+            # re-plans it, so the engine's warm plan is the re-planned one.
+            "name": "path4_neq2_w12",
+            "query": path_neq_query(4, 2),
+            "database": chain_database(layers=5, width=12, p=0.3, seed=7),
+            "candidates": ("naive", "inequality"),
+        },
+        {
             "name": "redundant_k5",
             "query": k5_query,
             "database": k5_db,

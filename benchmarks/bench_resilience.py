@@ -7,8 +7,8 @@ The acceptance claims of the resilience layer:
   costs under 5% wall-clock on a no-fault workload: against one server
   armed with a never-firing fault plan, the same TCP flood is timed
   plain and with every request carrying a far-away deadline;
-* **deadlines abort on time** — an adversarial cyclic query whose naive
-  search runs for many seconds answers ``deadline_exceeded`` within 2×
+* **deadlines abort on time** — an adversarial clique query whose naive
+  search runs for seconds answers ``deadline_exceeded`` within 2×
   its budget, wire time included;
 * **retries heal injected faults** — with the server dropping
   connections on a deterministic schedule, a retrying client still gets
@@ -38,6 +38,7 @@ import statistics
 import sys
 import tempfile
 import time
+from itertools import combinations
 from typing import Any, Dict, List, Optional
 
 from bench_protocol_server import ServerProcess
@@ -88,16 +89,34 @@ def build_overhead_flood(database) -> List:
     ]
 
 
+#: The Turán graph T(28, 4): 4 parts of 7 nodes, every cross-part edge.
+ADVERSARIAL_PARTS = 4
+ADVERSARIAL_PART_SIZE = 7
+
+
 def adversarial_database() -> Database:
-    """A dense digraph whose 6-cycle query runs for seconds under naive
-    search — the workload deadlines exist to bound."""
-    rng = random.Random(11)
-    rows = {(rng.randrange(60), rng.randrange(60)) for _ in range(1400)}
-    return Database.from_tuples({"E": sorted(rows)})
+    """The Turán graph as a symmetric edge relation: complete 4-partite, so
+    it holds 7^4 four-cliques and no five-clique.  The 5-clique query
+    (clique is the paper's W[1]-hard case) has treewidth 4, past the
+    planner's threshold, so naive backtracking walks every ordered
+    four-clique before it fails: about 5 s in-process with no answers and
+    no materialised state — the workload deadlines exist to bound."""
+    nodes = range(ADVERSARIAL_PARTS * ADVERSARIAL_PART_SIZE)
+    rows = [
+        (a, b)
+        for a in nodes
+        for b in nodes
+        if a % ADVERSARIAL_PARTS != b % ADVERSARIAL_PARTS
+    ]
+    return Database.from_tuples({"E": rows})
 
 
 ADVERSARIAL_QUERY = (
-    "Q(x1) :- E(x1, x2), E(x2, x3), E(x3, x4), E(x4, x5), E(x5, x6), E(x6, x1)."
+    "Q(x1) :- "
+    + ", ".join(
+        f"E(x{i}, x{j})" for i, j in combinations(range(1, ADVERSARIAL_PARTS + 2), 2)
+    )
+    + "."
 )
 
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from ..inequalities.hashing import greedy_family_cost
+from ..inequalities.partition import partition_inequalities
 from ..query.atoms import Atom
 from ..query.conjunctive import ConjunctiveQuery
 from ..query.terms import Constant, Variable
@@ -146,9 +148,9 @@ class Planner:
             program = self._semijoin_program(query, analysis)
         elif structural_class == ACYCLIC_NEQ:
             costs[INEQUALITY] = self._inequality_cost(query, database, answer_estimate)
-            # No structural preference here: Theorem 2's hash-family factor
-            # is exponential in the number of inequalities, so the model
-            # picks the cheaper side directly.
+            # No structural preference here: Theorem 2's hash family is
+            # exponential in |V1| and its build enumerates C(|D|, |V1|)
+            # subsets, so the model picks the cheaper side directly.
             if costs[INEQUALITY] < costs[NAIVE]:
                 evaluator = INEQUALITY
             program = self._semijoin_program(query, analysis)
@@ -294,16 +296,32 @@ class Planner:
         database: Database,
         answer_estimate: float,
     ) -> float:
-        # Theorem 2's passes keep the static pass weight: the calibration
-        # feed observes the Yannakakis evaluator, a different code path,
-        # and a fast one there must not make the hash-family trials look
-        # cheap.
-        trials = float(2 ** min(len(query.inequalities), 16))
+        """Theorem 2 as the evaluator runs it: build the k-perfect family
+        over the V1 values, then one set of passes per family member.
+
+        k is |V1|, the I1 variables the evaluator hashes (≠ atoms inside
+        one atom are I2 selections and cost nothing extra).  |D| is bounded
+        by the summed distinct counts of the columns V1 variables occupy.
+        The passes keep the static pass weight: the calibration feed
+        observes the Yannakakis evaluator, a different code path, and a
+        fast one there must not make the family's passes look cheap.
+        """
+        hashed = set(partition_inequalities(query).v1)
+        columns = {
+            (atom.relation, position)
+            for atom in query.atoms
+            for position, term in enumerate(atom.terms)
+            if term in hashed
+        }
+        domain_size = sum(
+            self._distinct(database[name], position) for name, position in columns
+        )
+        members, build = greedy_family_cost(domain_size, len(hashed))
         total = sum(
             self._candidate_cardinality(atom, database[atom.relation])
             for atom in query.atoms
         )
-        return trials * (_PASS_WEIGHT * _NUM_PASSES * total + answer_estimate)
+        return build + members * (_PASS_WEIGHT * _NUM_PASSES * total + answer_estimate)
 
     def _treewidth_cost(
         self,

@@ -144,4 +144,7 @@ class TreewidthEvaluator:
         bag_query = ConjunctiveQuery(
             query.head_terms, bag_atoms, head_name=query.head_name
         )
-        return bag_query, Database(bag_relations, domain=database.domain())
+        # No declared domain: the bags draw every value from the input, and
+        # the Yannakakis passes never read ``domain()`` — declaring it would
+        # only re-scan every bag row to validate it.
+        return bag_query, Database(bag_relations)

@@ -12,9 +12,9 @@ instantiation assigns to the V1 variables.
   while they split not-yet-covered k-subsets, with a targeted-function
   fallback guaranteeing progress; coverage is verified, so the family is
   provably k-perfect for this domain.  Size ≈ e^k·k·ln|D| by the covering
-  argument; construction cost is C(|D|, k) per round (fine at library
-  scale — the asymptotically optimal splitter constructions of [3] would
-  only change constants).
+  argument; construction cost is C(|D|, k) per round, so the build alone
+  is O(|D|^k) — :func:`greedy_family_cost` prices it for the planner.  The
+  splitter constructions of [3] would make the build FPT.
 * :class:`ExhaustiveHashFamily` — all k^|D| functions; the test oracle for
   tiny domains.
 
@@ -125,6 +125,27 @@ class GreedyPerfectHashFamily:
                 }
                 stalls = 0
                 yield forced
+
+
+def greedy_family_cost(domain_size: int, k: int) -> Tuple[float, float]:
+    """(members, build work) of :class:`GreedyPerfectHashFamily` for k
+    hashed variables over a domain of *domain_size* values.
+
+    Members follow the covering bound e^k·k·ln|D|; each build round scans
+    the C(|D|, k) subsets, so the build is members × C(|D|, k) subset
+    checks.  Both are upper bounds: the greedy family is usually smaller
+    and later rounds scan only the still-uncovered subsets.  The trivial
+    families (k ≤ 1, or one injective map when k ≥ |D|) have one member
+    and no build.
+    """
+    if k <= 1 or domain_size <= k:
+        return 1.0, 0.0
+    members = math.exp(k) * k * math.log(domain_size)
+    try:
+        subsets = float(math.comb(domain_size, k))
+    except OverflowError:
+        subsets = math.inf
+    return members, members * subsets
 
 
 class ExhaustiveHashFamily:

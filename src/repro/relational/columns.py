@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import threading
 from array import array
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Sequence
 
 #: Typecode of every code array: signed 64-bit, plenty for process-lifetime
 #: pools and cheap to hash/compare as Python ints.
@@ -74,14 +74,6 @@ class ValuePool:
             encode = self.encode
             return array(CODE_TYPECODE, [encode(v) for v in values])
 
-    def code_of(self, value: Any) -> Optional[int]:
-        """The code for *value*, or ``None`` if it was never interned.
-
-        ``None`` proves the value appears in no encoded column (the pool
-        never evicts), which lets probe paths short-circuit to empty.
-        """
-        return self._codes.get(value)
-
     def decode(self, code: int) -> Any:
         """The first-seen representative value for *code*.
 
@@ -102,36 +94,6 @@ def select_codes(column: array, indices: Sequence[int]) -> array:
 def zip_key_codes(pool: ValuePool, columns: Sequence[array]) -> array:
     """Composite key codes for aligned code *columns* (interned in *pool*)."""
     return pool.encode_column(list(zip(*columns)))
-
-
-def key_code_of(
-    values_pool: ValuePool, keys_pool: ValuePool, key: Any, width: int
-) -> Optional[int]:
-    """The join-key code (:meth:`Relation._key_codes`) of *key*, if any.
-
-    *key* follows the index-key convention: the raw value when *width* is
-    1, the value tuple otherwise.  Returns ``None`` when any component was
-    never interned — such a key cannot appear in any encoded relation,
-    so callers may treat it as matching nothing.
-    """
-    if width == 1:
-        return values_pool.code_of(key)
-    component_codes: List[int] = []
-    for value in key:
-        code = values_pool.code_of(value)
-        if code is None:
-            return None
-        component_codes.append(code)
-    return keys_pool.code_of(tuple(component_codes))
-
-
-def intern_key_code(
-    values_pool: ValuePool, keys_pool: ValuePool, key: Any, width: int
-) -> int:
-    """Like :func:`key_code_of` but interning: always returns a code."""
-    if width == 1:
-        return values_pool.encode(key)
-    return keys_pool.encode(tuple(values_pool.encode(v) for v in key))
 
 
 def iter_values(pool: ValuePool, codes: Iterable[int]) -> Iterable[Any]:

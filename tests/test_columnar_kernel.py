@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro import Relation
 from repro.errors import ArityError, SchemaError
-from repro.relational.columns import KEYS, VALUES, key_code_of
+from repro.relational.columns import VALUES
 
 # A small mixed-type domain where cross-type equality bites: 1 == True
 # == 1.0 and 0 == False collapse under Python (and frozenset) equality,
@@ -113,22 +113,6 @@ class TestValuePool:
         assert VALUES.encode(0) == VALUES.encode(False)
         assert VALUES.encode(1) != VALUES.encode(2)
         assert VALUES.encode("1") != VALUES.encode(1)
-
-    def test_key_code_of_width_one_and_many(self):
-        VALUES.encode("seen-key")
-        assert key_code_of(VALUES, KEYS, "seen-key", 1) == VALUES.encode("seen-key")
-        # A composite key resolves only once some relation interned it
-        # (partitioning interns every key the relation holds).
-        composite = (VALUES.encode("seen-key"), VALUES.encode("seen-key"))
-        assert key_code_of(VALUES, KEYS, ("seen-key", "seen-key"), 2) in (
-            None,
-            KEYS.code_of(composite),
-        )
-        interned = KEYS.encode(composite)
-        assert key_code_of(VALUES, KEYS, ("seen-key", "seen-key"), 2) == interned
-
-    def test_key_code_of_unseen_value_is_none(self):
-        assert key_code_of(VALUES, KEYS, object(), 1) is None
 
 
 class TestKernelEquivalence:

@@ -21,8 +21,11 @@ from repro import (
     QueryEngine,
     Relation,
     YannakakisEvaluator,
+    parse_query,
 )
 from repro.engine import DEFAULT_REPLAN_LIMIT, Planner
+from repro.inequalities import partition_inequalities
+from repro.inequalities.hashing import greedy_family_cost
 from repro.parallel import lift_batch_group
 from repro.operations import DECIDE, operations_of
 from repro.query.atoms import Atom
@@ -180,6 +183,60 @@ class TestAdaptiveReplanning:
             base.cost_estimates["naive"]
         )
         assert corrected.estimated_rows == 0.0
+
+
+class TestInequalityPricing:
+    """Theorem 2 is priced by the family it builds: k = |V1| hashed
+    variables, e^k·k·ln|D| members, C(|D|, k) subsets per build round."""
+
+    @pytest.fixture()
+    def neq_database(self):
+        return chain_database(layers=5, width=12, p=0.3, seed=7)
+
+    def test_replanned_neq_path_stays_naive(self, neq_database):
+        """The re-plan that observed-cardinality drift triggers on this
+        instance must not move it to the ~30× slower Theorem 2 evaluator."""
+        query = path_neq_query(4, 2)
+        engine = QueryEngine()
+        for _ in range(3):
+            answers = engine.execute(query, neq_database)
+        assert engine.plan_for(query, neq_database).evaluator == "naive"
+        assert answers == engine.execute(query, neq_database, evaluator="inequality")
+        assert answers == engine.execute(query, neq_database, evaluator="naive")
+
+    def test_estimate_grows_with_v1_and_covers_the_build(self, neq_database):
+        path = "Q(x0) :- E(x0, x1), E(x1, x2), E(x2, x3), E(x3, x4)"
+        cases = (
+            (path + ", x0 != x2.", 2),
+            (path + ", x0 != x2, x2 != x4.", 3),
+            (path + ", x0 != x2, x2 != x4, x1 != x3.", 5),
+        )
+        relation = neq_database["E"]
+        # Every V1 variable sits in E's two columns: the planner's |D| bound.
+        domain_size = len(relation._index((0,))) + len(relation._index((1,)))
+        planner = Planner()
+        estimates = []
+        for text, k in cases:
+            query = parse_query(text)
+            assert partition_inequalities(query).k == k
+            estimate = planner.plan(query, neq_database).cost_estimates["inequality"]
+            _, build = greedy_family_cost(domain_size, k)
+            assert build > 0
+            assert estimate >= build
+            estimates.append(estimate)
+        assert estimates == sorted(estimates) and len(set(estimates)) == 3
+
+    def test_i2_only_query_has_no_build_term(self, neq_database):
+        """Every ≠ inside one atom (k = 0): plain acyclic processing."""
+        query = parse_query("Q(x0) :- E(x0, x1), E(x1, x2), x0 != x1, x1 != 5.")
+        assert partition_inequalities(query).k == 0
+        assert greedy_family_cost(100, 0) == (1.0, 0.0)
+        planner = Planner()
+        plan = planner.plan(query, neq_database)
+        assert plan.structural_class == "acyclic-inequalities"
+        assert plan.cost_estimates["inequality"] == pytest.approx(
+            planner._acyclic_cost(query, neq_database, plan.estimated_rows)
+        )
 
 
 class TestDecideBatch:
