@@ -69,9 +69,8 @@ from ..operations import (
     AGG_COUNT,
     AGG_EXISTS,
     AGG_FORALL,
-    AGG_GROUP,
     Operation,
-    operations_of,
+    TypedFacade,
 )
 from ..operations import (
     AGGREGATE as OP_AGGREGATE,
@@ -125,8 +124,12 @@ DEFAULT_REPLAN_DRIFT = 10.0
 DEFAULT_REPLAN_LIMIT = 5
 
 
-class QueryEngine:
+class QueryEngine(TypedFacade):
     """Adaptive evaluation of conjunctive queries with plan caching.
+
+    The typed facade (``execute`` / ``decide`` / ``explain`` / ``count`` /
+    ``grouped_count`` / ``exists`` / ``forall``) is inherited from
+    :class:`~repro.operations.TypedFacade` and routes through :meth:`run`.
 
     Parameters
     ----------
@@ -243,7 +246,7 @@ class QueryEngine:
         return plan, "miss", key
 
     # ------------------------------------------------------------------
-    # The generic Operation path (facades below are one-line wrappers)
+    # The generic Operation path (the inherited facades route through it)
     # ------------------------------------------------------------------
 
     def run(self, operation: Operation, database: Database) -> Any:
@@ -497,55 +500,6 @@ class QueryEngine:
         answers = self._dispatch(plan.evaluator, plan, query, database, decide=False)
         return grouped_count_reference(query, answers, group_by)
 
-    # ------------------------------------------------------------------
-    # Facades (thin typed wrappers over the Operation path)
-    # ------------------------------------------------------------------
-
-    def explain(self, query: ConjunctiveQuery, database: Database) -> str:
-        """The plan rendering for (query, database), without executing."""
-        return self.run(Operation.explain(query), database)
-
-    def execute(
-        self,
-        query: ConjunctiveQuery,
-        database: Database,
-        evaluator: Optional[str] = None,
-    ) -> Relation:
-        """Q(d) through the adaptive pipeline (or a forced *evaluator*)."""
-        return self.run(Operation.execute(query, evaluator), database)
-
-    def decide(
-        self,
-        query: ConjunctiveQuery,
-        database: Database,
-        evaluator: Optional[str] = None,
-    ) -> bool:
-        """Is Q(d) nonempty?"""
-        return self.run(Operation.decide(query, evaluator), database)
-
-    def count(self, query: ConjunctiveQuery, database: Database) -> int:
-        """|Q(d)| — equal to ``len(execute(query, database).rows)``, but on
-        the tractable counting modes computed from the reducer passes plus
-        a linear fold, never the materialized join."""
-        return self.run(Operation.count(query), database)
-
-    def grouped_count(
-        self,
-        query: ConjunctiveQuery,
-        database: Database,
-        group_by: Sequence[str],
-    ) -> Relation:
-        """Per-group answer counts over the *group_by* head variables."""
-        return self.run(Operation.grouped_count(query, group_by), database)
-
-    def exists(self, query: ConjunctiveQuery, database: Database) -> bool:
-        """Is Q(d) nonempty?  (The quantified-star ∃ aggregate.)"""
-        return self.run(Operation.exists(query), database)
-
-    def forall(self, query: ConjunctiveQuery, database: Database) -> bool:
-        """Does every candidate head tuple belong to Q(d)?"""
-        return self.run(Operation.forall(query), database)
-
     def contains(
         self,
         query: ConjunctiveQuery,
@@ -564,15 +518,6 @@ class QueryEngine:
         except QueryError:
             return False
         return self.decide(decided, database)
-
-    def count_batch(
-        self,
-        queries: Sequence[ConjunctiveQuery],
-        database: Database,
-    ) -> List[int]:
-        """|Q(d)| for many queries — duplicates share one count, distinct
-        members fan across the pool under one plan per shape."""
-        return self.run_batch(operations_of(OP_COUNT, queries), database)
 
     def _run_group(
         self,

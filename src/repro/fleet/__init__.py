@@ -17,7 +17,7 @@ requests over when a worker dies mid-flight.
     :meth:`~FleetSupervisor.rolling_restart` drains workers one at a
     time so capacity never drops below N-1.
 
-:class:`FleetRouter` / :class:`AsyncFleetRouter`
+:class:`FleetRouter`
     Route operations to the least-loaded live worker — "load" is the sum
     of cost-weighted in-flight requests, where a shape's cost is the p95
     of its recent latencies (the same
@@ -27,7 +27,8 @@ requests over when a worker dies mid-flight.
     supervisor, re-routes to a healthy replica under a
     :class:`~repro.resilience.RetryPolicy`, and only raises
     :class:`~repro.errors.FleetDrainedError` once the whole fleet is
-    unreachable.
+    unreachable.  Thread-safe; asyncio callers use
+    ``await asyncio.to_thread(router.run, operation, database)``.
 
 Workloads load fleet-wide without restarts: ``register_database``
 broadcasts an encoded database to every live worker and the supervisor
@@ -39,7 +40,7 @@ mid-flood and every client request still answers, byte-identical to a
 sequential in-process engine.  See ``docs/fleet.md``.
 """
 
-from .router import AsyncFleetRouter, FleetRouter
+from .router import FleetRouter
 from .supervisor import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
@@ -49,7 +50,6 @@ from .supervisor import (
 )
 
 __all__ = [
-    "AsyncFleetRouter",
     "BREAKER_CLOSED",
     "BREAKER_HALF_OPEN",
     "BREAKER_OPEN",

@@ -15,24 +15,25 @@ replica.  The router turns that property into availability:
   therefore stops attracting cheap point lookups even though its
   *count* of in-flight requests is low;
 * **failover** wraps every call in the fleet's
-  :class:`~repro.resilience.RetryPolicy`: transport failures discard
-  the pooled connection, report the worker to the supervisor (which
-  probes and respawns it), and re-route to another replica after the
-  policy's backoff.  Structured server errors re-route only when their
-  code is transient (``server_busy`` / ``backpressure`` /
-  ``shutting_down``) — a parse error fails identically everywhere;
+  :class:`~repro.resilience.RetryPolicy`, spending the same retry budget
+  (:meth:`~repro.resilience.RetryPolicy.retry_delays`) as the wire
+  clients: transport failures discard the pooled connection, report the
+  worker to the supervisor (which probes and respawns it), and re-route
+  to another replica after the policy's backoff.  Structured server
+  errors re-route only when their code is transient (``server_busy`` /
+  ``backpressure`` / ``shutting_down``) — a parse error fails
+  identically everywhere;
 * a spent budget — or a fleet with zero ready workers for the whole
   budget — raises :class:`~repro.errors.FleetDrainedError` carrying the
   attempt count and last underlying failure.
 
-The sync :class:`FleetRouter` is thread-safe (the chaos flood drives it
-from many threads at once); :class:`AsyncFleetRouter` is a thin
-``asyncio.to_thread`` facade for event-loop callers.
+The router is thread-safe (the chaos flood drives it from many threads
+at once), so event-loop callers fan out with
+``await asyncio.to_thread(router.run, operation, database)``.
 """
 
 from __future__ import annotations
 
-import asyncio
 import random
 import threading
 import time
@@ -40,10 +41,9 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..engine.stats import LatencyReservoir
 from ..errors import FleetDrainedError, WorkerUnavailableError
-from ..operations import Operation
+from ..operations import Operation, TypedFacade
 from ..protocol.client import QueryClient
 from ..protocol.messages import query_text
-from ..relational.relation import Relation
 from ..resilience.policy import RetryPolicy
 from .supervisor import FleetSupervisor
 
@@ -57,7 +57,7 @@ DEFAULT_FLEET_RETRY = RetryPolicy(
 )
 
 
-class FleetRouter:
+class FleetRouter(TypedFacade):
     """Route operations across a supervised fleet, failing over on death.
 
     Parameters
@@ -180,7 +180,7 @@ class FleetRouter:
         if self._closed:
             raise RuntimeError("FleetRouter is closed")
         policy = self._retry
-        started = time.monotonic()
+        delays = policy.retry_delays(self._rng)
         attempt = 0
         avoid: Set[int] = set()
         last: Optional[BaseException] = None
@@ -228,23 +228,17 @@ class FleetRouter:
                             self._pending.pop(worker, None)
             with self._lock:
                 self._failovers += 1
-            if attempt >= policy.max_attempts:
-                break
-            delay = policy.delay_for(attempt, self._rng)
-            if (
-                policy.max_elapsed is not None
-                and time.monotonic() - started + delay > policy.max_elapsed
-            ):
-                break
+            delay = next(delays, None)
+            if delay is None:
+                raise FleetDrainedError(
+                    f"fleet request failed after {attempt} attempt(s): {last}",
+                    attempts=attempt,
+                    last_error=last,
+                ) from last
             time.sleep(delay)
-        raise FleetDrainedError(
-            f"fleet request failed after {attempt} attempt(s): {last}",
-            attempts=attempt,
-            last_error=last,
-        ) from last
 
     # ------------------------------------------------------------------
-    # The facade: generic run/run_batch, typed one-line wrappers
+    # The facade: generic run/run_batch (typed methods from TypedFacade)
     # ------------------------------------------------------------------
 
     def run(
@@ -279,26 +273,6 @@ class FleetRouter:
             lambda client: client.run_batch(operations, database, deadline=deadline),
             key,
         )
-
-    def execute(
-        self, query: Any, database: str, *, deadline: Optional[float] = None
-    ) -> Relation:
-        return self.run(Operation.execute(query), database, deadline=deadline)
-
-    def decide(
-        self, query: Any, database: str, *, deadline: Optional[float] = None
-    ) -> bool:
-        return self.run(Operation.decide(query), database, deadline=deadline)
-
-    def count(
-        self, query: Any, database: str, *, deadline: Optional[float] = None
-    ) -> int:
-        return self.run(Operation.count(query), database, deadline=deadline)
-
-    def explain(
-        self, query: Any, database: str, *, deadline: Optional[float] = None
-    ) -> str:
-        return self.run(Operation.explain(query), database, deadline=deadline)
 
     def register_database(self, name: str, database: Any) -> List[int]:
         """Install *database* fleet-wide (broadcast + replay on respawn)."""
@@ -338,68 +312,4 @@ class FleetRouter:
         self.close()
 
 
-class AsyncFleetRouter:
-    """Asyncio facade over :class:`FleetRouter`.
-
-    Each call runs the blocking router on a worker thread
-    (``asyncio.to_thread``), so an event-loop application can fan many
-    concurrent requests across the fleet — the sync router underneath is
-    thread-safe and does the placement/failover work.
-    """
-
-    def __init__(self, router: FleetRouter) -> None:
-        self._router = router
-
-    async def run(
-        self,
-        operation: Operation,
-        database: str,
-        *,
-        deadline: Optional[float] = None,
-    ) -> Any:
-        return await asyncio.to_thread(
-            self._router.run, operation, database, deadline=deadline
-        )
-
-    async def run_batch(
-        self,
-        operations: Sequence[Operation],
-        database: str,
-        *,
-        deadline: Optional[float] = None,
-    ) -> List[Any]:
-        return await asyncio.to_thread(
-            self._router.run_batch, operations, database, deadline=deadline
-        )
-
-    async def execute(
-        self, query: Any, database: str, *, deadline: Optional[float] = None
-    ) -> Relation:
-        return await self.run(Operation.execute(query), database, deadline=deadline)
-
-    async def decide(
-        self, query: Any, database: str, *, deadline: Optional[float] = None
-    ) -> bool:
-        return await self.run(Operation.decide(query), database, deadline=deadline)
-
-    async def count(
-        self, query: Any, database: str, *, deadline: Optional[float] = None
-    ) -> int:
-        return await self.run(Operation.count(query), database, deadline=deadline)
-
-    async def register_database(self, name: str, database: Any) -> List[int]:
-        return await asyncio.to_thread(
-            self._router.register_database, name, database
-        )
-
-    async def aclose(self) -> None:
-        await asyncio.to_thread(self._router.close)
-
-    async def __aenter__(self) -> "AsyncFleetRouter":
-        return self
-
-    async def __aexit__(self, *exc_info: Any) -> None:
-        await self.aclose()
-
-
-__all__ = ["AsyncFleetRouter", "DEFAULT_COST", "DEFAULT_FLEET_RETRY", "FleetRouter"]
+__all__ = ["DEFAULT_COST", "DEFAULT_FLEET_RETRY", "FleetRouter"]

@@ -7,7 +7,8 @@ clients.  An :class:`Operation` names the *what* once — an operation kind,
 the query it applies to, and an options mapping — so each layer keeps a
 single generic ``run()`` / ``run_batch()`` path plus one dispatch table,
 and the familiar ``execute`` / ``decide`` / ``explain`` / ``count`` /
-``aggregate`` methods become one-line typed wrappers.
+``grouped_count`` / ``exists`` / ``forall`` methods are written once, in
+:class:`TypedFacade`, which every front-end inherits.
 
 Operations are *values*: frozen, hashable, and comparable.  That is
 load-bearing — the service keys its single-flight map and micro-batch
@@ -42,7 +43,7 @@ Operation kinds
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import InvalidOperationError
 
@@ -218,6 +219,58 @@ class Operation:
         return f"Operation({self.kind!r}, {self.query!r}{options})"
 
 
+class TypedFacade:
+    """The typed facade, written once over ``run``.
+
+    The engine, the service, both wire clients and the fleet router
+    inherit these methods and supply ``run(operation, database, **kw)``.
+    Each method builds its :class:`Operation` and forwards the
+    front-end's own keywords (``deadline=``, ``client=``) unchanged.  On
+    an asyncio front-end ``run`` returns a coroutine, so the inherited
+    method does too: ``await service.count(query, database)``.
+    """
+
+    run: Callable[..., Any]
+
+    def execute(
+        self, query: Any, database: Any, evaluator: Optional[str] = None, **kw: Any
+    ) -> Any:
+        """Q(d) as a relation, through the adaptive pipeline or the forced
+        *evaluator*."""
+        return self.run(Operation.execute(query, evaluator), database, **kw)
+
+    def decide(
+        self, query: Any, database: Any, evaluator: Optional[str] = None, **kw: Any
+    ) -> Any:
+        """Is Q(d) nonempty?"""
+        return self.run(Operation.decide(query, evaluator), database, **kw)
+
+    def explain(self, query: Any, database: Any, **kw: Any) -> Any:
+        """The plan rendering for (query, database), without executing."""
+        return self.run(Operation.explain(query), database, **kw)
+
+    def count(self, query: Any, database: Any, **kw: Any) -> Any:
+        """\\|Q(d)\\| — equal to ``len(execute(query, database).rows)``, but
+        on the tractable counting modes computed from the reducer passes
+        plus a linear fold, never the materialized join."""
+        return self.run(Operation.count(query), database, **kw)
+
+    def grouped_count(
+        self, query: Any, database: Any, group_by: Sequence[str], **kw: Any
+    ) -> Any:
+        """Per-group answer counts over the *group_by* head variables."""
+        return self.run(Operation.grouped_count(query, group_by), database, **kw)
+
+    def exists(self, query: Any, database: Any, **kw: Any) -> Any:
+        """Is Q(d) nonempty?  (The aggregate spelling of ``decide``.)"""
+        return self.run(Operation.exists(query), database, **kw)
+
+    def forall(self, query: Any, database: Any, **kw: Any) -> Any:
+        """Does every tuple over the head variables' candidate domains
+        belong to Q(d)?"""
+        return self.run(Operation.forall(query), database, **kw)
+
+
 def operations_of(
     kind: str, queries: Iterable[Any], options: Optional[Mapping[str, Any]] = None
 ) -> Tuple[Operation, ...]:
@@ -244,6 +297,7 @@ __all__ = [
     "EXPLAIN",
     "OP_KINDS",
     "Operation",
+    "TypedFacade",
     "canonical_options",
     "operations_of",
 ]

@@ -1,6 +1,6 @@
 """Query clients: an asyncio pipelining client and a blocking socket one.
 
-Two flavors, one wire dialect:
+Two flavors, one wire session:
 
 :class:`AsyncQueryClient`
     For asyncio callers (the benchmark harness, the fairness tests).  A
@@ -15,6 +15,13 @@ Two flavors, one wire dialect:
     One outstanding request at a time; out-of-order responses (possible
     when an earlier error response overtakes) are buffered by id.
 
+Both inherit :class:`_WireSession`, the transport-free core: request ids,
+the closed/broken state, frame negotiation, request framing and response
+decoding, and one ``run`` / ``run_batch`` / ``register_database`` /
+``stats`` / ``ping`` body each over a per-flavor ``_call`` hook (the typed
+facade comes from :class:`~repro.operations.TypedFacade`).  Only the
+socket I/O, reconnecting and the retry loop's sleep differ per flavor.
+
 Both raise :class:`~.messages.RemoteQueryError` carrying the server's
 structured code/message/detail when a request fails, and both accept
 queries as rule-notation text or as ``ConjunctiveQuery`` objects (whose
@@ -27,8 +34,9 @@ Resilience (see ``docs/resilience.md``):
   ``deadline_exceeded`` instead of letting a runaway query hold its lane;
 * both clients accept an opt-in :class:`~repro.resilience.RetryPolicy`;
   retryable failures (transport errors, transient server codes) trigger
-  reconnect-and-retry with exponential backoff and deterministic jitter,
-  and a spent budget raises :class:`~repro.errors.RetryExhaustedError`;
+  reconnect-and-retry under the policy's one retry budget
+  (:meth:`~repro.resilience.RetryPolicy.retry_delays`), and a spent
+  budget raises :class:`~repro.errors.RetryExhaustedError`;
 * an abrupt close fails every pending async request with
   :class:`~repro.errors.ConnectionLostError` — never a silent hang —
   carrying the server's final structured frame when there was one;
@@ -43,11 +51,10 @@ import random
 import socket
 import time
 from itertools import count
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConnectionLostError, RequestTimeoutError, RetryExhaustedError
-from ..operations import Operation
-from ..relational.relation import Relation
+from ..operations import Operation, TypedFacade
 from ..resilience.policy import RetryPolicy
 from .codec import MAX_LINE_BYTES, decode, encode
 from .frames import (
@@ -73,6 +80,9 @@ from .messages import (
     query_text,
 )
 
+#: The ``ping`` fields that offer our frame formats to the server.
+_NEGOTIATE = {"frames": SUPPORTED_FRAMES}
+
 
 def _raise_for(response: Response) -> Response:
     if response.error is not None:
@@ -96,8 +106,14 @@ def _wire_operation(operation: Operation) -> Dict[str, Any]:
     return entry
 
 
-def _decode_members(result: Any) -> List[Any]:
+def _result_of(response: Response) -> Any:
+    """Decode a single-operation response by its declared kind."""
+    return decode_result(response.kind, response.result)
+
+
+def _members_of(response: Response) -> List[Any]:
     """Decode a ``results`` payload's tagged members."""
+    result = response.result
     if not isinstance(result, list):
         raise ProtocolError("run_batch result must be a list")
     members = []
@@ -108,7 +124,170 @@ def _decode_members(result: Any) -> List[Any]:
     return members
 
 
-class AsyncQueryClient:
+def _relation_names(response: Response) -> List[str]:
+    return list(response.result["relations"])
+
+
+def _stats_of(response: Response) -> Dict[str, Any]:
+    return dict(response.result)
+
+
+def _pong(response: Response) -> bool:
+    return True
+
+
+def _exhausted(
+    op: str, attempts: int, last: Optional[BaseException]
+) -> RetryExhaustedError:
+    return RetryExhaustedError(
+        f"{op} failed after {attempts} attempt(s): {last}",
+        attempts=attempts,
+        last_error=last,
+    )
+
+
+class _WireSession(TypedFacade):
+    """The transport-free half of a client connection.
+
+    Owns request ids, the closed/broken state, the reconnect counter, the
+    requested and negotiated binary-frame flags, request framing and
+    response decoding, and the public request bodies.  Each public method
+    is written once over ``_call(op, fields, decode)``: the blocking
+    client's ``_call`` returns ``decode(response)``, the asyncio client's
+    returns a coroutine of it — so the same body serves both.
+    """
+
+    def __init__(
+        self,
+        host: Optional[str],
+        port: Optional[int],
+        retry: Optional[RetryPolicy],
+        rng: Optional[random.Random],
+        binary_frames: bool,
+    ) -> None:
+        self._host = host
+        self._port = port
+        self._retry = retry
+        self._rng = rng if rng is not None else random.Random()
+        self._ids = count(1)
+        self._closed = False
+        self._broken: Optional[BaseException] = None
+        self._reconnects = 0
+        #: Opt-in: negotiate the binary relation framing after connecting.
+        self._binary_requested = binary_frames
+        #: True once the server accepted the binary framing (per connection).
+        self._binary = False
+
+    _call: Callable[[str, Dict[str, Any], Callable[[Response], Any]], Any]
+
+    @property
+    def binary_frames(self) -> bool:
+        """Did this connection negotiate the binary relation framing?"""
+        return self._binary
+
+    @property
+    def reconnects(self) -> int:
+        """How many times the retry machinery re-opened the connection."""
+        return self._reconnects
+
+    # ------------------------------------------------------------------
+
+    def _frame(self, op: str, fields: Dict[str, Any]) -> Tuple[int, bytes]:
+        """The next request's id and encoded frame (binary when negotiated
+        and the request has a binary form, else one JSON line)."""
+        if self._closed:
+            raise RuntimeError(f"{type(self).__name__} is closed")
+        if self._broken is not None:
+            raise ConnectionError(
+                f"connection is broken: {self._broken}"
+            ) from self._broken
+        request = Request(op=op, id=next(self._ids), **fields)
+        data = encode_binary(request) if self._binary else None
+        return request.id, data if data is not None else encode(request)
+
+    @staticmethod
+    def _decode_frame(tag: int, line: bytes) -> Response:
+        message = decode_binary(line) if tag == BINARY_FRAME else decode(line)
+        if not isinstance(message, Response):
+            raise ProtocolError("server sent a request frame")
+        return message
+
+    def _adopt_frames(self, response: Response) -> None:
+        """Read the negotiation reply: adopt the binary framing when the
+        server accepted any of our formats.  Pre-negotiation servers
+        answer a plain pong — the client just stays on JSON lines."""
+        accepted = ()
+        if isinstance(response.result, dict):
+            accepted = tuple(response.result.get("frames") or ())
+        self._binary = bool(accepted)
+
+    # ------------------------------------------------------------------
+    # The facade over the wire: one generic run/run_batch pair (the typed
+    # methods are inherited from TypedFacade) plus the admin ops
+    # ------------------------------------------------------------------
+
+    def run(
+        self,
+        operation: Operation,
+        database: str,
+        *,
+        deadline: Optional[float] = None,
+    ) -> Any:
+        """Run one :class:`~repro.operations.Operation` remotely.
+
+        The operation kind travels as the wire op verbatim; the result is
+        decoded by the response's declared kind (relation / boolean /
+        count / text).
+        """
+        operation.validate()
+        fields = {
+            "query": query_text(operation.query),
+            "database": database,
+            "deadline": deadline,
+            "options": operation.options_dict() or None,
+        }
+        return self._call(operation.kind, fields, _result_of)
+
+    def run_batch(
+        self,
+        operations: Sequence[Operation],
+        database: str,
+        *,
+        deadline: Optional[float] = None,
+    ) -> Any:
+        """Run a (possibly mixed-kind) batch of operations remotely."""
+        for operation in operations:
+            operation.validate()
+        fields = {
+            "operations": tuple(_wire_operation(op) for op in operations),
+            "database": database,
+            "deadline": deadline,
+        }
+        return self._call(RUN_BATCH, fields, _members_of)
+
+    def register_database(self, name: str, database: Any) -> Any:
+        """Install *database* under *name* on the server, without restart.
+
+        Accepts a :class:`~repro.relational.database.Database` (encoded
+        via :func:`~.messages.encode_database`) or a pre-encoded document
+        dict.  Returns the server's list of registered relation names.
+        Idempotent — safe to retry and to replay against a respawned
+        worker (the fleet supervisor does exactly that).
+        """
+        data = database if isinstance(database, dict) else encode_database(database)
+        fields = {"database": name, "data": data}
+        return self._call(REGISTER_DATABASE, fields, _relation_names)
+
+    def stats(self) -> Any:
+        """The server's stats document."""
+        return self._call(STATS, {}, _stats_of)
+
+    def ping(self) -> Any:
+        """True once the server answers."""
+        return self._call(PING, {}, _pong)
+
+
+class AsyncQueryClient(_WireSession):
     """Pipelined asyncio client: many requests in flight per connection."""
 
     def __init__(
@@ -122,22 +301,11 @@ class AsyncQueryClient:
         port: Optional[int] = None,
         binary_frames: bool = False,
     ) -> None:
+        super().__init__(host, port, retry, rng, binary_frames)
         self._reader = reader
         self._writer = writer
-        self._retry = retry
-        self._rng = rng if rng is not None else random.Random()
-        self._host = host
-        self._port = port
-        self._ids = count(1)
         self._pending: Dict[int, "asyncio.Future[Response]"] = {}
-        self._closed = False
-        self._broken: Optional[BaseException] = None
-        self._reconnects = 0
         self._connect_lock = asyncio.Lock()
-        #: Opt-in: negotiate the binary relation framing after connecting.
-        self._binary_requested = binary_frames
-        #: True once the server accepted the binary framing (per connection).
-        self._binary = False
         self._reader_task = asyncio.ensure_future(self._read_loop())
 
     @classmethod
@@ -169,25 +337,10 @@ class AsyncQueryClient:
             await client._negotiate_frames()
         return client
 
-    @property
-    def binary_frames(self) -> bool:
-        """Did this connection negotiate the binary relation framing?"""
-        return self._binary
-
     async def _negotiate_frames(self) -> None:
         """Offer our frame formats over ``ping``; adopt what the server
-        accepts.  Pre-negotiation servers answer a plain pong — the
-        client just stays on JSON lines."""
-        response = await self._request(PING, frames=SUPPORTED_FRAMES)
-        accepted = ()
-        if isinstance(response.result, dict):
-            accepted = tuple(response.result.get("frames") or ())
-        self._binary = bool(accepted)
-
-    @property
-    def reconnects(self) -> int:
-        """How many times the retry machinery re-opened the connection."""
-        return self._reconnects
+        accepts."""
+        self._adopt_frames(await self._request(PING, _NEGOTIATE))
 
     # ------------------------------------------------------------------
 
@@ -198,9 +351,7 @@ class AsyncQueryClient:
                 tag, line = await read_frame_async(self._reader)
                 if not line:
                     break
-                message = decode_binary(line) if tag == BINARY_FRAME else decode(line)
-                if not isinstance(message, Response):
-                    raise ProtocolError("server sent a request frame")
+                message = self._decode_frame(tag, line)
                 if message.id is None:
                     # Connection-level error: no request to attribute it
                     # to — it is fatal to the connection, so it raises
@@ -236,18 +387,11 @@ class AsyncQueryClient:
                     future.set_exception(delivered)
             self._pending.clear()
 
-    async def _request(self, op: str, **fields: Any) -> Response:
-        if self._closed:
-            raise RuntimeError("AsyncQueryClient is closed")
-        if self._broken is not None:
-            raise ConnectionError(
-                f"connection is broken: {self._broken}"
-            ) from self._broken
-        request = Request(op=op, id=next(self._ids), **fields)
+    async def _request(self, op: str, fields: Dict[str, Any]) -> Response:
+        request_id, data = self._frame(op, fields)
         future: "asyncio.Future[Response]" = asyncio.get_running_loop().create_future()
-        self._pending[request.id] = future
-        data = encode_binary(request) if self._binary else None
-        self._writer.write(data if data is not None else encode(request))
+        self._pending[request_id] = future
+        self._writer.write(data)
         await self._writer.drain()
         return _raise_for(await future)
 
@@ -263,16 +407,7 @@ class AsyncQueryClient:
                     "cannot reconnect: client was built from raw streams "
                     "(use AsyncQueryClient.connect for retryable clients)"
                 ) from self._broken
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                pass
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionError, RuntimeError):
-                pass
+            await self._close_transport()
             reader, writer = await asyncio.open_connection(
                 self._host, self._port, limit=MAX_LINE_BYTES
             )
@@ -285,12 +420,14 @@ class AsyncQueryClient:
             if self._binary_requested:
                 await self._negotiate_frames()
 
-    async def _call(self, op: str, **fields: Any) -> Response:
+    async def _call(
+        self, op: str, fields: Dict[str, Any], decode: Callable[[Response], Any]
+    ) -> Any:
         """One request, retried under the client's policy when it has one."""
         policy = self._retry
         if policy is None:
-            return await self._request(op, **fields)
-        started = time.monotonic()
+            return decode(await self._request(op, fields))
+        delays = policy.retry_delays(self._rng)
         attempt = 0
         last: Optional[BaseException] = None
         while True:
@@ -298,128 +435,19 @@ class AsyncQueryClient:
             try:
                 if self._broken is not None:
                     await self._reconnect()
-                return await self._request(op, **fields)
+                return decode(await self._request(op, fields))
             except (RuntimeError, asyncio.CancelledError):
                 raise  # closed client / caller teardown — never retried
             except BaseException as exc:  # noqa: BLE001 — classified below
                 if not policy.retryable(exc):
                     raise
                 last = exc
-            if attempt >= policy.max_attempts:
-                break
-            delay = policy.delay_for(attempt, self._rng)
-            if (
-                policy.max_elapsed is not None
-                and time.monotonic() - started + delay > policy.max_elapsed
-            ):
-                break
+            delay = next(delays, None)
+            if delay is None:
+                raise _exhausted(op, attempt, last) from last
             await asyncio.sleep(delay)
-        raise RetryExhaustedError(
-            f"{op} failed after {attempt} attempt(s): {last}",
-            attempts=attempt,
-            last_error=last,
-        ) from last
 
     # ------------------------------------------------------------------
-    # The facade, over the wire: one generic run/run_batch pair, with the
-    # typed methods as one-line wrappers
-    # ------------------------------------------------------------------
-
-    async def run(
-        self,
-        operation: Operation,
-        database: str,
-        *,
-        deadline: Optional[float] = None,
-    ) -> Any:
-        """Run one :class:`~repro.operations.Operation` remotely.
-
-        The operation kind travels as the wire op verbatim; the result is
-        decoded by the response's declared kind (relation / boolean /
-        count / text), so every typed facade is a one-liner over this.
-        """
-        operation.validate()
-        response = await self._call(
-            operation.kind,
-            query=query_text(operation.query),
-            database=database,
-            deadline=deadline,
-            options=operation.options_dict() or None,
-        )
-        return decode_result(response.kind, response.result)
-
-    async def run_batch(
-        self,
-        operations: Sequence[Operation],
-        database: str,
-        *,
-        deadline: Optional[float] = None,
-    ) -> List[Any]:
-        """Run a (possibly mixed-kind) batch of operations remotely."""
-        for operation in operations:
-            operation.validate()
-        response = await self._call(
-            RUN_BATCH,
-            operations=tuple(_wire_operation(op) for op in operations),
-            database=database,
-            deadline=deadline,
-        )
-        return _decode_members(response.result)
-
-    async def execute(
-        self, query: Any, database: str, *, deadline: Optional[float] = None
-    ) -> Relation:
-        return await self.run(Operation.execute(query), database, deadline=deadline)
-
-    async def decide(
-        self, query: Any, database: str, *, deadline: Optional[float] = None
-    ) -> bool:
-        return await self.run(Operation.decide(query), database, deadline=deadline)
-
-    async def explain(
-        self, query: Any, database: str, *, deadline: Optional[float] = None
-    ) -> str:
-        return await self.run(Operation.explain(query), database, deadline=deadline)
-
-    async def count(
-        self, query: Any, database: str, *, deadline: Optional[float] = None
-    ) -> int:
-        return await self.run(Operation.count(query), database, deadline=deadline)
-
-    async def grouped_count(
-        self,
-        query: Any,
-        database: str,
-        group_by: Sequence[str],
-        *,
-        deadline: Optional[float] = None,
-    ) -> Relation:
-        return await self.run(
-            Operation.grouped_count(query, group_by), database, deadline=deadline
-        )
-
-    async def exists(
-        self, query: Any, database: str, *, deadline: Optional[float] = None
-    ) -> bool:
-        return await self.run(Operation.exists(query), database, deadline=deadline)
-
-    async def forall(
-        self, query: Any, database: str, *, deadline: Optional[float] = None
-    ) -> bool:
-        return await self.run(Operation.forall(query), database, deadline=deadline)
-
-    async def register_database(self, name: str, database: Any) -> List[str]:
-        """Install *database* under *name* on the server, without restart.
-
-        Accepts a :class:`~repro.relational.database.Database` (encoded
-        via :func:`~.messages.encode_database`) or a pre-encoded document
-        dict.  Returns the server's list of registered relation names.
-        Idempotent — safe to retry and to replay against a respawned
-        worker (the fleet supervisor does exactly that).
-        """
-        data = database if isinstance(database, dict) else encode_database(database)
-        response = await self._call(REGISTER_DATABASE, database=name, data=data)
-        return list(response.result["relations"])
 
     async def cancel(self, target: int) -> bool:
         """Ask the server to cancel in-flight request *target*.
@@ -429,7 +457,7 @@ class AsyncQueryClient:
         ``cancelled`` error); False when it had already finished.  Sent
         directly — a cancel is never retried.
         """
-        response = await self._request(CANCEL, target=target)
+        response = await self._request(CANCEL, {"target": target})
         return bool(response.result)
 
     def pending_ids(self) -> List[int]:
@@ -437,20 +465,9 @@ class AsyncQueryClient:
         accepts.  Ids are assigned in request order starting from 1."""
         return sorted(self._pending)
 
-    async def stats(self) -> Dict[str, Any]:
-        response = await self._call(STATS)
-        return dict(response.result)
-
-    async def ping(self) -> bool:
-        await self._call(PING)
-        return True
-
     # ------------------------------------------------------------------
 
-    async def aclose(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
+    async def _close_transport(self) -> None:
         self._reader_task.cancel()
         try:
             await self._reader_task
@@ -462,6 +479,12 @@ class AsyncQueryClient:
         except (ConnectionError, RuntimeError):
             pass
 
+    async def aclose(self) -> None:
+        if self._closed:
+            return
+        self._closed = True
+        await self._close_transport()
+
     async def __aenter__(self) -> "AsyncQueryClient":
         return self
 
@@ -469,7 +492,7 @@ class AsyncQueryClient:
         await self.aclose()
 
 
-class QueryClient:
+class QueryClient(_WireSession):
     """Blocking client over a plain socket (threads, scripts, REPLs).
 
     A socket timeout (default 30 s) or any transport/framing failure is
@@ -489,67 +512,35 @@ class QueryClient:
         rng: Optional[random.Random] = None,
         binary_frames: bool = False,
     ) -> None:
-        self._host = host
-        self._port = port
+        super().__init__(host, port, retry, rng, binary_frames)
         self._timeout = timeout
-        self._retry = retry
-        self._rng = rng if rng is not None else random.Random()
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._file = self._sock.makefile("rwb")
-        self._ids = count(1)
         self._stash: Dict[int, Response] = {}
-        self._closed = False
-        self._broken: Optional[BaseException] = None
-        self._reconnects = 0
-        self._binary_requested = binary_frames
-        self._binary = False
         if binary_frames:
             self._negotiate_frames()
 
-    @property
-    def binary_frames(self) -> bool:
-        """Did this connection negotiate the binary relation framing?"""
-        return self._binary
-
     def _negotiate_frames(self) -> None:
         """Offer our frame formats over ``ping``; adopt what the server
-        accepts (pre-negotiation servers answer a plain pong)."""
-        response = self._request(PING, frames=SUPPORTED_FRAMES)
-        accepted = ()
-        if isinstance(response.result, dict):
-            accepted = tuple(response.result.get("frames") or ())
-        self._binary = bool(accepted)
-
-    @property
-    def reconnects(self) -> int:
-        """How many times the retry machinery re-opened the connection."""
-        return self._reconnects
+        accepts."""
+        self._adopt_frames(self._request(PING, _NEGOTIATE))
 
     # ------------------------------------------------------------------
 
-    def _request(self, op: str, **fields: Any) -> Response:
-        if self._closed:
-            raise RuntimeError("QueryClient is closed")
-        if self._broken is not None:
-            raise ConnectionError(
-                f"connection is broken: {self._broken}"
-            ) from self._broken
-        request = Request(op=op, id=next(self._ids), **fields)
+    def _request(self, op: str, fields: Dict[str, Any]) -> Response:
+        request_id, data = self._frame(op, fields)
         try:
-            data = encode_binary(request) if self._binary else None
-            self._file.write(data if data is not None else encode(request))
+            self._file.write(data)
             self._file.flush()
-            stashed = self._stash.pop(request.id, None)
+            stashed = self._stash.pop(request_id, None)
             if stashed is not None:
                 return _raise_for(stashed)
             while True:
                 tag, line = read_frame_blocking(self._file)
                 if not line:
                     raise ConnectionError("server closed the connection")
-                message = decode_binary(line) if tag == BINARY_FRAME else decode(line)
-                if not isinstance(message, Response):
-                    raise ProtocolError("server sent a request frame")
-                if message.id == request.id or message.id is None:
+                message = self._decode_frame(tag, line)
+                if message.id == request_id or message.id is None:
                     return _raise_for(message)
                 self._stash[message.id] = message
         except socket.timeout as exc:
@@ -585,12 +576,14 @@ class QueryClient:
         if self._binary_requested:
             self._negotiate_frames()
 
-    def _call(self, op: str, **fields: Any) -> Response:
+    def _call(
+        self, op: str, fields: Dict[str, Any], decode: Callable[[Response], Any]
+    ) -> Any:
         """One request, retried under the client's policy when it has one."""
         policy = self._retry
         if policy is None:
-            return self._request(op, **fields)
-        started = time.monotonic()
+            return decode(self._request(op, fields))
+        delays = policy.retry_delays(self._rng)
         attempt = 0
         last: Optional[BaseException] = None
         while True:
@@ -598,123 +591,17 @@ class QueryClient:
             try:
                 if self._broken is not None:
                     self._reconnect()
-                return self._request(op, **fields)
+                return decode(self._request(op, fields))
             except RuntimeError:
                 raise  # closed client — never retried
             except BaseException as exc:  # noqa: BLE001 — classified below
                 if not policy.retryable(exc):
                     raise
                 last = exc
-            if attempt >= policy.max_attempts:
-                break
-            delay = policy.delay_for(attempt, self._rng)
-            if (
-                policy.max_elapsed is not None
-                and time.monotonic() - started + delay > policy.max_elapsed
-            ):
-                break
+            delay = next(delays, None)
+            if delay is None:
+                raise _exhausted(op, attempt, last) from last
             time.sleep(delay)
-        raise RetryExhaustedError(
-            f"{op} failed after {attempt} attempt(s): {last}",
-            attempts=attempt,
-            last_error=last,
-        ) from last
-
-    # ------------------------------------------------------------------
-    # The facade: one generic run/run_batch pair, typed one-line wrappers
-    # ------------------------------------------------------------------
-
-    def run(
-        self,
-        operation: Operation,
-        database: str,
-        *,
-        deadline: Optional[float] = None,
-    ) -> Any:
-        """Run one :class:`~repro.operations.Operation` remotely."""
-        operation.validate()
-        response = self._call(
-            operation.kind,
-            query=query_text(operation.query),
-            database=database,
-            deadline=deadline,
-            options=operation.options_dict() or None,
-        )
-        return decode_result(response.kind, response.result)
-
-    def run_batch(
-        self,
-        operations: Sequence[Operation],
-        database: str,
-        *,
-        deadline: Optional[float] = None,
-    ) -> List[Any]:
-        """Run a (possibly mixed-kind) batch of operations remotely."""
-        for operation in operations:
-            operation.validate()
-        response = self._call(
-            RUN_BATCH,
-            operations=tuple(_wire_operation(op) for op in operations),
-            database=database,
-            deadline=deadline,
-        )
-        return _decode_members(response.result)
-
-    def execute(
-        self, query: Any, database: str, *, deadline: Optional[float] = None
-    ) -> Relation:
-        return self.run(Operation.execute(query), database, deadline=deadline)
-
-    def decide(
-        self, query: Any, database: str, *, deadline: Optional[float] = None
-    ) -> bool:
-        return self.run(Operation.decide(query), database, deadline=deadline)
-
-    def explain(
-        self, query: Any, database: str, *, deadline: Optional[float] = None
-    ) -> str:
-        return self.run(Operation.explain(query), database, deadline=deadline)
-
-    def count(
-        self, query: Any, database: str, *, deadline: Optional[float] = None
-    ) -> int:
-        return self.run(Operation.count(query), database, deadline=deadline)
-
-    def grouped_count(
-        self,
-        query: Any,
-        database: str,
-        group_by: Sequence[str],
-        *,
-        deadline: Optional[float] = None,
-    ) -> Relation:
-        return self.run(
-            Operation.grouped_count(query, group_by), database, deadline=deadline
-        )
-
-    def exists(
-        self, query: Any, database: str, *, deadline: Optional[float] = None
-    ) -> bool:
-        return self.run(Operation.exists(query), database, deadline=deadline)
-
-    def forall(
-        self, query: Any, database: str, *, deadline: Optional[float] = None
-    ) -> bool:
-        return self.run(Operation.forall(query), database, deadline=deadline)
-
-    def register_database(self, name: str, database: Any) -> List[str]:
-        """Install *database* under *name* on the server (see the async
-        client's docstring; same semantics, blocking)."""
-        data = database if isinstance(database, dict) else encode_database(database)
-        response = self._call(REGISTER_DATABASE, database=name, data=data)
-        return list(response.result["relations"])
-
-    def stats(self) -> Dict[str, Any]:
-        return dict(self._call(STATS).result)
-
-    def ping(self) -> bool:
-        self._call(PING)
-        return True
 
     # ------------------------------------------------------------------
 

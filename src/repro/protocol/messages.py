@@ -71,8 +71,6 @@ QUERY_OPS = (EXECUTE, DECIDE, EXPLAIN, COUNT, AGGREGATE)
 RELATION = "relation"
 BOOLEAN = "boolean"
 COUNT_RESULT = "count"
-RELATIONS = "relations"
-BOOLEANS = "booleans"
 RESULTS = "results"
 TEXT = "text"
 STATS_RESULT = "stats"
@@ -85,8 +83,6 @@ RESULT_KINDS = (
     RELATION,
     BOOLEAN,
     COUNT_RESULT,
-    RELATIONS,
-    BOOLEANS,
     RESULTS,
     TEXT,
     STATS_RESULT,
@@ -591,7 +587,6 @@ def query_text(query: Any) -> str:
 __all__ = [
     "AGGREGATE",
     "BOOLEAN",
-    "BOOLEANS",
     "CANCEL",
     "CANCELLED",
     "COUNT",
@@ -610,7 +605,6 @@ __all__ = [
     "REGISTERED",
     "REGISTER_DATABASE",
     "RELATION",
-    "RELATIONS",
     "RESULTS",
     "RESULT_KINDS",
     "RUN_BATCH",

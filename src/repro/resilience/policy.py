@@ -15,17 +15,21 @@ deserve another attempt.  :class:`RetryPolicy` encodes that split:
 * :meth:`RetryPolicy.delay_for` yields exponential backoff with
   deterministic jitter (the caller supplies the ``random.Random``, so
   chaos tests replay byte-identical schedules);
-* the budget is bounded twice — ``max_attempts`` per request and
-  ``max_elapsed`` across all of a request's attempts — after which the
-  client raises :class:`~repro.errors.RetryExhaustedError` carrying the
-  final underlying failure.
+* :meth:`RetryPolicy.retry_delays` is the one retry budget both wire
+  clients and the fleet router spend: it is bounded twice —
+  ``max_attempts`` per request and ``max_elapsed`` across all of a
+  request's attempts — after which the client raises
+  :class:`~repro.errors.RetryExhaustedError` (the router
+  :class:`~repro.errors.FleetDrainedError`) carrying the final
+  underlying failure.
 """
 
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass, field
-from typing import FrozenSet, Optional
+from typing import FrozenSet, Iterator, Optional
 
 from ..errors import ReproError
 
@@ -87,6 +91,28 @@ class RetryPolicy:
         if self.jitter and rng is not None:
             delay *= 1.0 + rng.uniform(-self.jitter, self.jitter)
         return max(0.0, delay)
+
+    def retry_delays(self, rng: Optional[random.Random] = None) -> Iterator[float]:
+        """The backoff before each retry of one request, while budget lasts.
+
+        Call it just before the first attempt: the ``max_elapsed`` clock
+        starts here, not at the first ``next()``, so the first attempt's
+        own time counts against the budget.  The iterator yields at most
+        ``max_attempts - 1`` delays and stops early once sleeping the next
+        delay would overrun ``max_elapsed``.
+        """
+        started = time.monotonic()
+        return self._delays(started, rng)
+
+    def _delays(self, started: float, rng: Optional[random.Random]) -> Iterator[float]:
+        for attempt in range(1, self.max_attempts):
+            delay = self.delay_for(attempt, rng)
+            if (
+                self.max_elapsed is not None
+                and time.monotonic() - started + delay > self.max_elapsed
+            ):
+                return
+            yield delay
 
     def retryable(self, error: BaseException) -> bool:
         """Is *error* worth another attempt at all?

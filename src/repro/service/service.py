@@ -10,8 +10,9 @@ indexes), but only for callers who share one engine.
 * an ``asyncio`` facade built around one generic ``run`` / ``run_batch``
   pair over :class:`~repro.operations.Operation` values — the typed
   methods (``execute`` / ``decide`` / ``explain`` / ``count`` /
-  ``grouped_count`` / ``exists`` / ``forall`` / ``stats``) are one-line
-  wrappers — multiplexing every concurrent client onto one thread-safe
+  ``grouped_count`` / ``exists`` / ``forall``) are inherited from
+  :class:`~repro.operations.TypedFacade` and return ``run``'s coroutine —
+  multiplexing every concurrent client onto one thread-safe
   :class:`~repro.engine.QueryEngine`;
 * a **bounded request queue** between admission and execution — when all
   dispatchers are busy and the queue is full, new work awaits (natural
@@ -68,19 +69,11 @@ from ..errors import (
     RequestRejectedError,
     ServiceOverloadedError,
 )
-from ..operations import (
-    COUNT,
-    DECIDE,
-    EXECUTE,
-    EXPLAIN,
-    Operation,
-    operations_of,
-)
+from ..operations import EXPLAIN, Operation, TypedFacade
 from ..parallel.pool import THREADS, WorkerPool, default_worker_count
 from ..query.conjunctive import ConjunctiveQuery
 from ..query.parser import parse_query
 from ..relational.database import Database
-from ..relational.relation import Relation
 from ..resilience.token import CancelToken, activate
 from .fairness import ANONYMOUS, FairQueue
 from .stats import MutableClientStats, MutableCounters, ServiceStats
@@ -168,7 +161,7 @@ class _Flight:
         self.abandoned = False
 
 
-class QueryService:
+class QueryService(TypedFacade):
     """Async multiplexer of concurrent callers onto one shared engine.
 
     Parameters
@@ -347,112 +340,6 @@ class QueryService:
             for index, answer in zip(members, answers):
                 results[index] = answer
         return results
-
-    async def execute(
-        self,
-        query: QueryLike,
-        database: Database,
-        *,
-        client: str = ANONYMOUS,
-        deadline: Optional[float] = None,
-    ) -> Relation:
-        """Q(d) through the shared engine (single-flight, micro-batched).
-
-        *deadline* bounds the request in seconds from admission: past it
-        the call raises :class:`~repro.errors.DeadlineExceededError` and
-        the underlying execution is cooperatively cancelled (unless other
-        waiters still ride it).  Deadline'd requests skip micro-batch
-        collectors — one group, one token, one budget.
-        """
-        return await self.run(
-            Operation(EXECUTE, query), database, client=client, deadline=deadline
-        )
-
-    async def decide(
-        self,
-        query: QueryLike,
-        database: Database,
-        *,
-        client: str = ANONYMOUS,
-        deadline: Optional[float] = None,
-    ) -> bool:
-        """Is Q(d) nonempty?  Decision requests micro-batch through the
-        engine's decision-only N-wide lifting (``run_batch``)."""
-        return await self.run(
-            Operation(DECIDE, query), database, client=client, deadline=deadline
-        )
-
-    async def explain(
-        self,
-        query: QueryLike,
-        database: Database,
-        *,
-        client: str = ANONYMOUS,
-        deadline: Optional[float] = None,
-    ) -> str:
-        """The engine's plan rendering, without executing (coalesced but
-        never batched — explaining is per-query by definition)."""
-        return await self.run(
-            Operation(EXPLAIN, query), database, client=client, deadline=deadline
-        )
-
-    async def count(
-        self,
-        query: QueryLike,
-        database: Database,
-        *,
-        client: str = ANONYMOUS,
-        deadline: Optional[float] = None,
-    ) -> int:
-        """\\|Q(d)\\| through the engine's counting pass (single-flight,
-        micro-batched like decisions — counts share the reduction)."""
-        return await self.run(
-            Operation(COUNT, query), database, client=client, deadline=deadline
-        )
-
-    async def grouped_count(
-        self,
-        query: QueryLike,
-        database: Database,
-        group_by: Sequence[str],
-        *,
-        client: str = ANONYMOUS,
-        deadline: Optional[float] = None,
-    ) -> Relation:
-        """Grouped answer counts over *group_by* head variables."""
-        return await self.run(
-            Operation.grouped_count(query, group_by),
-            database,
-            client=client,
-            deadline=deadline,
-        )
-
-    async def exists(
-        self,
-        query: QueryLike,
-        database: Database,
-        *,
-        client: str = ANONYMOUS,
-        deadline: Optional[float] = None,
-    ) -> bool:
-        """Is Q(d) nonempty? — the aggregate spelling of ``decide``."""
-        return await self.run(
-            Operation.exists(query), database, client=client, deadline=deadline
-        )
-
-    async def forall(
-        self,
-        query: QueryLike,
-        database: Database,
-        *,
-        client: str = ANONYMOUS,
-        deadline: Optional[float] = None,
-    ) -> bool:
-        """Does every tuple over the head variables' candidate domains
-        satisfy the query body?  (``count == |domain|``.)"""
-        return await self.run(
-            Operation.forall(query), database, client=client, deadline=deadline
-        )
 
     async def stats(self) -> ServiceStats:
         """Service counters, per-client rollups, and the engine snapshot."""

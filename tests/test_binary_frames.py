@@ -43,7 +43,7 @@ from repro.protocol.frames import (
     negotiate_frames,
     read_frame_blocking,
 )
-from repro.protocol.messages import PING, PONG, RELATION, RELATIONS
+from repro.protocol.messages import BOOLEAN, PING, PONG, RELATION, RESULTS
 from repro.workloads import chain_database, path_query
 
 ids = st.integers(min_value=0, max_value=2**31)
@@ -73,14 +73,18 @@ def relation_payloads(draw):
 
 @st.composite
 def relation_responses(draw):
+    """A single relation answer, or a ``run_batch`` ``results`` answer:
+    tagged members, at least one of them a relation."""
     rid = draw(st.one_of(st.none(), ids))
     if draw(st.booleans()):
         return Response(id=rid, kind=RELATION, result=draw(relation_payloads()))
-    return Response(
-        id=rid,
-        kind=RELATIONS,
-        result=draw(st.lists(relation_payloads(), min_size=1, max_size=4)),
+    member = st.one_of(
+        relation_payloads().map(lambda payload: {"kind": RELATION, "result": payload}),
+        st.booleans().map(lambda value: {"kind": BOOLEAN, "result": value}),
     )
+    first = {"kind": RELATION, "result": draw(relation_payloads())}
+    rest = draw(st.lists(member, max_size=3))
+    return Response(id=rid, kind=RESULTS, result=[first, *rest])
 
 
 def run(coroutine):
@@ -101,11 +105,8 @@ class TestCodecRoundTrip:
     @given(relation_responses())
     def test_round_trip_is_byte_exact_vs_json(self, response):
         frame = encode_binary(response)
-        if frame is None:
-            # Only empty relation lists decline; kinds above always carry
-            # at least the payload shape, so a relation response encodes.
-            assert response.kind == RELATIONS and response.result == []
-            return
+        # Every drawn response carries at least one relation payload.
+        assert frame is not None
         decoded = decode_binary(body_of(frame))
         assert encode(decoded) == encode(response)
 

@@ -23,6 +23,7 @@ from repro.evaluation import (
     grouped_count_reference,
     head_domain_size,
 )
+from repro.operations import COUNT, operations_of
 from repro.query import Atom, ConjunctiveQuery
 from repro.query.terms import Variable
 from repro.workloads import (
@@ -223,7 +224,7 @@ class TestEngineCountingFacade:
     def test_count_batch(self, chain):
         queries = [path_query(n, head_arity=1) for n in (1, 2, 3)]
         with QueryEngine() as engine:
-            counts = engine.count_batch(queries, chain)
+            counts = engine.run_batch(operations_of(COUNT, queries), chain)
             assert counts == [engine.count(query, chain) for query in queries]
 
     def test_exists_and_forall(self):

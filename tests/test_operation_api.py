@@ -11,6 +11,7 @@ import pytest
 
 from repro import QueryEngine
 from repro.errors import QueryError
+from repro.fleet import FleetRouter, FleetSupervisor
 from repro.operations import (
     AGG_COUNT,
     AGG_EXISTS,
@@ -26,6 +27,7 @@ from repro.operations import (
     operations_of,
 )
 from repro.protocol import AsyncQueryClient, QueryClient, QueryServer
+from repro.relational.io import save_database_json
 from repro.service import QueryService
 from repro.workloads import chain_database, path_query
 
@@ -37,8 +39,22 @@ def chain():
     return chain_database(layers=5, width=16, p=0.4, seed=13)
 
 
+@pytest.fixture(scope="module")
+def chain_path(chain, tmp_path_factory):
+    path = tmp_path_factory.mktemp("operations") / "chain.json"
+    save_database_json(chain, str(path))
+    return str(path)
+
+
 def run(coroutine):
     return asyncio.run(coroutine)
+
+
+def plan_lines(rendering):
+    """The plan-structure lines of an ``explain`` rendering, without the
+    cache, re-plan and actuals lines that change from call to call."""
+    labels = ("analysis", "evaluator", "counting", "join ord.")
+    return [line for line in rendering.splitlines() if line.lstrip().startswith(labels)]
 
 
 class TestOperationValue:
@@ -144,11 +160,12 @@ class TestEngineDispatch:
         with QueryEngine() as engine:
             assert not hasattr(engine, "execute_batch")
             assert not hasattr(engine, "decide_batch")
+            assert not hasattr(engine, "count_batch")
             executed = engine.run_batch(operations_of(EXECUTE, queries), chain)
             assert executed == [engine.execute(q, chain) for q in queries]
-            assert engine.count_batch(queries, chain) == engine.run_batch(
-                operations_of(COUNT, queries), chain
-            )
+            assert engine.run_batch(operations_of(COUNT, queries), chain) == [
+                engine.count(q, chain) for q in queries
+            ]
 
     def test_forced_evaluator_option(self, chain):
         query = path_query(3, head_arity=2)
@@ -360,9 +377,12 @@ class TestWireDispatch:
                     with pytest.raises(RemoteQueryError) as excinfo:
                         await client._call(
                             "aggregate",
-                            query="Q(x) :- E(x, y).",
-                            database="chain",
-                            options={"mode": "median"},
+                            {
+                                "query": "Q(x) :- E(x, y).",
+                                "database": "chain",
+                                "options": {"mode": "median"},
+                            },
+                            lambda response: response,
                         )
                     # Malformed options map to the unified typed error's
                     # stable wire code, not a generic invalid_query.
@@ -398,3 +418,104 @@ class TestAggregateModes:
                 assert result is engine.forall(query, chain)
             else:
                 assert result == engine.grouped_count(query, chain, ("x0",))
+
+
+class TestFacadeParity:
+    """Every front-end's typed facade is ``run`` on the same operation.
+
+    One parametrized case per front-end: the engine and the service
+    in-process, both clients over a live server, and the fleet router
+    over a one-worker fleet.  Each facade call (``execute`` and
+    ``decide`` with and without a forced evaluator, ``explain``,
+    ``count``, ``grouped_count``, ``exists``, ``forall``) must equal
+    ``run`` on the matching :class:`Operation`, and both must equal the
+    in-process engine's answer."""
+
+    @staticmethod
+    def cases(query):
+        """``(facade name, extra positional args, keywords, operation)``."""
+        return [
+            ("execute", (), {}, Operation.execute(query)),
+            ("execute", (), {"evaluator": "naive"}, Operation.execute(query, "naive")),
+            ("decide", (), {}, Operation.decide(query)),
+            ("decide", (), {"evaluator": "naive"}, Operation.decide(query, "naive")),
+            ("explain", (), {}, Operation.explain(query)),
+            ("count", (), {}, Operation.count(query)),
+            (
+                "grouped_count",
+                (("x0",),),
+                {},
+                Operation.grouped_count(query, ("x0",)),
+            ),
+            ("exists", (), {}, Operation.exists(query)),
+            ("forall", (), {}, Operation.forall(query)),
+        ]
+
+    @staticmethod
+    def pairs(front, database, cases):
+        return [
+            (
+                getattr(front, name)(operation.query, database, *extra, **kw),
+                front.run(operation, database),
+            )
+            for name, extra, kw, operation in cases
+        ]
+
+    @staticmethod
+    async def pairs_async(front, database, cases):
+        return [
+            (
+                await getattr(front, name)(operation.query, database, *extra, **kw),
+                await front.run(operation, database),
+            )
+            for name, extra, kw, operation in cases
+        ]
+
+    @pytest.mark.parametrize(
+        "route", ["engine", "service", "async_client", "sync_client", "router"]
+    )
+    def test_typed_facades_equal_run(self, chain, chain_path, route):
+        query = path_query(3, head_arity=2)
+        cases = self.cases(query)
+        if route == "engine":
+            with QueryEngine() as engine:
+                pairs = self.pairs(engine, chain, cases)
+        elif route == "service":
+
+            async def main():
+                async with QueryService() as service:
+                    return await self.pairs_async(service, chain, cases)
+
+            pairs = run(main())
+        elif route == "router":
+            with FleetSupervisor({"chain": chain_path}, workers=1) as supervisor:
+                with FleetRouter(supervisor) as router:
+                    pairs = self.pairs(router, "chain", cases)
+        else:
+
+            async def main():
+                async with QueryServer({"chain": chain}) as server:
+                    host, port = server.address
+                    if route == "async_client":
+                        client = await AsyncQueryClient.connect(host, port)
+                        async with client:
+                            return await self.pairs_async(client, "chain", cases)
+
+                    def sync_work():
+                        with QueryClient(host, port) as client:
+                            return self.pairs(client, "chain", cases)
+
+                    return await asyncio.to_thread(sync_work)
+
+            pairs = run(main())
+        with QueryEngine() as engine:
+            want = [engine.run(operation, chain) for *_, operation in cases]
+        for (name, *_), (facade, generic), expected in zip(cases, pairs, want):
+            assert type(facade) is type(generic) is type(expected), name
+            if name == "explain":
+                assert "QueryPlan" in facade
+                assert plan_lines(facade) == plan_lines(generic)
+                assert plan_lines(facade) == plan_lines(expected)
+                assert len(plan_lines(facade)) == 4
+            else:
+                assert facade == generic == expected, name

@@ -32,13 +32,12 @@ from repro.protocol import (
 )
 from repro.protocol.messages import (
     BOOLEAN,
-    BOOLEANS,
     ERROR,
     PING,
     PONG,
     QUERY_OPS,
     RELATION,
-    RELATIONS,
+    RESULTS,
     RUN_BATCH,
     STATS,
     STATS_RESULT,
@@ -113,7 +112,7 @@ def relation_payloads(draw):
 def responses(draw):
     kind = draw(
         st.sampled_from(
-            (RELATION, BOOLEAN, RELATIONS, BOOLEANS, TEXT, STATS_RESULT, PONG, ERROR)
+            (RELATION, BOOLEAN, RESULTS, TEXT, STATS_RESULT, PONG, ERROR)
         )
     )
     rid = draw(st.one_of(st.none(), ids))
@@ -126,12 +125,14 @@ def responses(draw):
         return Response(id=rid, kind=ERROR, error=error)
     if kind == RELATION:
         result = draw(relation_payloads())
-    elif kind == RELATIONS:
-        result = draw(st.lists(relation_payloads(), max_size=5))
+    elif kind == RESULTS:
+        member = st.one_of(
+            relation_payloads().map(lambda p: {"kind": RELATION, "result": p}),
+            st.booleans().map(lambda b: {"kind": BOOLEAN, "result": b}),
+        )
+        result = draw(st.lists(member, max_size=5))
     elif kind == BOOLEAN:
         result = draw(st.booleans())
-    elif kind == BOOLEANS:
-        result = draw(st.lists(st.booleans(), max_size=100))
     elif kind == TEXT:
         result = draw(texts)
     elif kind == STATS_RESULT:

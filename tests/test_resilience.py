@@ -8,14 +8,18 @@ injected transport faults, crash recovery under live traffic — lives in
 import asyncio
 import os
 import random
+import socketserver
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro.errors import (
     CancelledRequestError,
     DeadlineExceededError,
+    FleetDrainedError,
+    RequestTimeoutError,
     RetryExhaustedError,
 )
 from repro.resilience import (
@@ -29,6 +33,17 @@ from repro.resilience import (
     current_token,
 )
 from repro.evaluation import CountingYannakakisEvaluator, YannakakisEvaluator
+from repro.fleet import FleetRouter
+from repro.protocol import (
+    AsyncQueryClient,
+    ProtocolError,
+    QueryClient,
+    RemoteQueryError,
+    decode,
+    encode,
+    error_response,
+)
+from repro.resilience import policy as policy_module
 from repro.resilience.faults import FAULTS_ENV_VAR
 from repro.workloads import chain_database, path_query
 
@@ -358,3 +373,203 @@ class TestRetryExhaustion:
         )
         assert error.attempts == 3
         assert isinstance(error.last_error, ConnectionError)
+
+
+class _ScriptedServer(socketserver.ThreadingTCPServer):
+    """A line-protocol peer that fails every request the same way.
+
+    ``mode="close"`` reads the request, waits *delay* seconds and drops
+    the connection (a transport failure: retryable).  ``mode="error"``
+    answers every request with a structured error carrying *code*.
+    ``mode="silent"`` reads requests and never answers.
+    ``requests`` counts the requests that reached the server, i.e. the
+    attempts a caller really made.
+    """
+
+    daemon_threads = True
+    allow_reuse_address = True
+
+    def __init__(self, mode, delay=0.0, code="parse_error"):
+        super().__init__(("127.0.0.1", 0), _ScriptedHandler)
+        self.mode, self.delay, self.code = mode, delay, code
+        self.requests = 0
+        self._lock = threading.Lock()
+        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        self.shutdown()
+        self.server_close()
+        self._thread.join()
+
+
+class _ScriptedHandler(socketserver.StreamRequestHandler):
+    def handle(self):
+        server = self.server
+        for line in self.rfile:
+            with server._lock:
+                server.requests += 1
+            if server.mode == "close":
+                time.sleep(server.delay)
+                return
+            if server.mode == "silent":
+                continue
+            error = ProtocolError("scripted failure", code=server.code)
+            self.wfile.write(encode(error_response(decode(line).id, error)))
+
+
+class _OneWorker:
+    """The slice of ``FleetSupervisor`` the router reads: one fixed,
+    always-ready worker endpoint."""
+
+    version = 0
+
+    def __init__(self, host, port):
+        self._endpoint = (0, host, port)
+
+    def endpoints(self):
+        return [self._endpoint]
+
+    def report_failure(self, worker):
+        pass
+
+
+QUERY = "Q(x) :- E(x, y)."
+ROUTES = ["sync_client", "async_client", "router"]
+
+
+def count_through(route, address, policy):
+    """Issue one ``count`` through *route* under *policy*; return what it
+    raised (each route must raise — the scripted server never answers)."""
+    host, port = address
+    if route == "sync_client":
+        with QueryClient(host, port, retry=policy) as client:
+            with pytest.raises(Exception) as excinfo:
+                client.count(QUERY, "chain")
+        return excinfo.value
+    if route == "router":
+        with FleetRouter(_OneWorker(host, port), retry=policy) as router:
+            with pytest.raises(Exception) as excinfo:
+                router.count(QUERY, "chain")
+            assert router.pending() == {}
+        return excinfo.value
+
+    async def main():
+        client = await AsyncQueryClient.connect(host, port, retry=policy)
+        async with client:
+            with pytest.raises(Exception) as excinfo:
+                await asyncio.wait_for(client.count(QUERY, "chain"), 30)
+        return excinfo.value
+
+    return asyncio.run(main())
+
+
+def exhausted_type(route):
+    return FleetDrainedError if route == "router" else RetryExhaustedError
+
+
+class TestRetryBudget:
+    """``RetryPolicy.retry_delays`` is the one budget both clients and the
+    fleet router spend; these drive it end to end."""
+
+    def test_delays_follow_the_backoff_until_attempts_are_spent(self):
+        policy = RetryPolicy(
+            max_attempts=4, base_delay=0.1, multiplier=2.0, max_delay=0.5, jitter=0
+        )
+        assert list(policy.retry_delays()) == [0.1, 0.2, 0.4]
+        assert list(RetryPolicy(max_attempts=1).retry_delays()) == []
+
+    def test_elapsed_clock_starts_when_the_budget_is_taken(self, monkeypatch):
+        now = [100.0]
+        monkeypatch.setattr(
+            policy_module, "time", SimpleNamespace(monotonic=lambda: now[0])
+        )
+        policy = RetryPolicy(
+            max_attempts=10, base_delay=0.1, multiplier=1.0, jitter=0, max_elapsed=0.5
+        )
+        delays = policy.retry_delays()
+        now[0] += 0.45  # the first attempt ran before the first next()
+        assert next(delays, None) is None
+        delays = policy.retry_delays()
+        now[0] += 0.1
+        assert next(delays) == 0.1
+        now[0] += 0.2
+        assert next(delays) == 0.1  # 0.3 elapsed + 0.1 fits in 0.5
+        now[0] += 0.15
+        assert next(delays, None) is None  # 0.45 + 0.1 would overrun
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_slow_first_attempt_spends_the_elapsed_budget(self, route):
+        # The first attempt alone takes longer than max_elapsed, so no
+        # retry may follow it — a clock started after the first attempt
+        # would still see budget left and retry.
+        policy = RetryPolicy(
+            max_attempts=10, base_delay=0.01, jitter=0, max_elapsed=0.2
+        )
+        with _ScriptedServer("close", delay=0.4) as server:
+            error = count_through(route, server.server_address, policy)
+            assert isinstance(error, exhausted_type(route))
+            assert error.attempts == 1 == server.requests
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_attempt_limit_exhausts_typed(self, route):
+        policy = RetryPolicy(max_attempts=3, base_delay=0.01, jitter=0)
+        with _ScriptedServer("close") as server:
+            error = count_through(route, server.server_address, policy)
+            assert isinstance(error, exhausted_type(route))
+            assert error.attempts == 3 == server.requests
+            assert error.last_error is not None
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_elapsed_limit_stops_with_attempts_left(self, route):
+        policy = RetryPolicy(
+            max_attempts=1000,
+            base_delay=0.05,
+            multiplier=1.0,
+            jitter=0,
+            max_elapsed=0.3,
+        )
+        with _ScriptedServer("close") as server:
+            error = count_through(route, server.server_address, policy)
+            assert isinstance(error, exhausted_type(route))
+            assert 2 <= error.attempts < 1000
+            assert error.attempts == server.requests
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_non_retryable_code_fails_on_the_first_attempt(self, route):
+        policy = RetryPolicy(max_attempts=5, base_delay=0.01, max_elapsed=10.0)
+        with _ScriptedServer("error", code="parse_error") as server:
+            error = count_through(route, server.server_address, policy)
+            assert isinstance(error, RemoteQueryError)
+            assert error.code == "parse_error"
+            assert server.requests == 1
+
+
+class TestSyncClientTimeout:
+    def test_timeout_is_typed_and_poisons_the_connection(self):
+        # A reply that arrives after the timeout would desynchronize the
+        # framing, so the timed-out connection refuses further requests.
+        with _ScriptedServer("silent") as server:
+            host, port = server.server_address
+            with QueryClient(host, port, timeout=0.2) as client:
+                with pytest.raises(RequestTimeoutError) as excinfo:
+                    client.ping()
+                assert excinfo.value.timeout == 0.2
+                with pytest.raises(ConnectionError, match="broken"):
+                    client.ping()
+            assert server.requests == 1
+
+    def test_retrying_client_reconnects_after_a_timeout(self):
+        policy = RetryPolicy(max_attempts=3, base_delay=0.01, jitter=0)
+        with _ScriptedServer("silent") as server:
+            host, port = server.server_address
+            with QueryClient(host, port, timeout=0.2, retry=policy) as client:
+                with pytest.raises(RetryExhaustedError) as excinfo:
+                    client.ping()
+                assert isinstance(excinfo.value.last_error, RequestTimeoutError)
+                assert excinfo.value.attempts == 3
+                assert client.reconnects == 2
+            assert server.requests == 3
